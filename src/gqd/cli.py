@@ -113,7 +113,9 @@ def state_document_from_dict(data: dict) -> StateDocument:
         f"unknown document kind {kind!r}",
     )
     n = data.get("n_qubits")
-    _require(isinstance(n, int) and n >= 1, f"n_qubits must be a positive integer, got {n!r}")
+    _require(
+        type(n) is int and n >= 1, f"n_qubits must be a positive integer, got {n!r}"
+    )
     if kind == "dense":
         _require("matrix" in data, "dense document needs a 'matrix' field")
         return StateDocument(kind, n, matrix=_parse_matrix(data["matrix"], n))
@@ -311,20 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_out=False):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--starts", type=int, default=None, help="optimizer starts")
-        p.add_argument("--tol", type=float, default=None, help="optimizer objective tolerance")
-        p.add_argument("--max-n", type=int, default=12, help="dense qubit limit (default 12)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output CSV path")
-
     p_compute = sub.add_parser("compute", help="discord of one state document")
     p_compute.add_argument("--input", required=True, help="state document (JSON)")
     p_compute.add_argument(
         "--method", choices=("auto", "numeric", "closed"), default="auto"
     )
-    add_common(p_compute)
+    p_compute.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_compute.add_argument("--starts", type=int, default=None, help="optimizer starts")
+    p_compute.add_argument(
+        "--tol", type=float, default=None, help="optimizer objective tolerance"
+    )
+    p_compute.add_argument(
+        "--max-n", type=int, default=12, help="dense qubit limit (default 12)"
+    )
     p_compute.set_defaults(func=cmd_compute)
 
     p_fig = sub.add_parser("figure1", help="GHZ-mixture discord vs noise weight")
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of qubit counts, 'inf' for the asymptote",
     )
     p_fig.add_argument("--mu-steps", type=int, default=101, help="grid points on [0, 1]")
-    add_common(p_fig, needs_out=True)
+    p_fig.add_argument("--out", required=True, help="output CSV path")
     p_fig.set_defaults(func=cmd_figure1)
 
     p_scan = sub.add_parser("dephase-scan", help="discord along a phase-damping grid")
@@ -342,13 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--c2", type=float, required=True)
     p_scan.add_argument("--c3", type=float, required=True)
     p_scan.add_argument("--p-steps", type=int, default=101, help="grid points on [0, 1]")
-    add_common(p_scan, needs_out=True)
+    p_scan.add_argument("--out", required=True, help="output CSV path")
     p_scan.set_defaults(func=cmd_dephase_scan)
 
     p_verify = sub.add_parser("verify", help="run the self-check suites")
     p_verify.add_argument("--scope", choices=SCOPES, default="all")
     p_verify.add_argument("--trials", type=int, default=100)
-    add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -17,16 +17,20 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import entr
 
-from .measurement import LocalMeasurement, _angles_to_unitary, _kron_all
+from .measurement import (
+    LocalMeasurement,
+    _angles_to_unitaries,
+    _measured_distribution,
+)
 from .qcore import (
     DensityMatrix,
     Spectrum,
+    _entropy_bits,
     binary_entropy,
     mutual_information,
     partial_trace,
@@ -58,8 +62,6 @@ __all__ = [
     "gqd_maximally_mixed",
 ]
 
-_LN2 = math.log(2.0)
-
 # Slack accepted on the closed-form validity bounds, so that states sitting
 # exactly on the boundary (pure GHZ, Bell mixtures with a zero weight) are
 # not rejected over float rounding.
@@ -74,6 +76,15 @@ class QubitLimitError(ValueError):
     """A dense computation was requested above the configured qubit limit."""
 
 
+def _check_n_qubits(n) -> None:
+    # A plain type test: bool is an int subclass, and this runs once per
+    # grid point of a dephasing scan.
+    if type(n) is not int:
+        raise InvalidParamsError(f"n_qubits must be an integer, got {n!r}")
+    if n < 2:
+        raise InvalidParamsError(f"n_qubits must be >= 2, got {n}")
+
+
 @dataclass(frozen=True)
 class WernerGhzParams:
     """White noise mixed with an N-qubit GHZ projector, weight ``mu``."""
@@ -82,10 +93,7 @@ class WernerGhzParams:
     mu: float
 
     def __post_init__(self):
-        if self.n_qubits < 2:
-            raise InvalidParamsError(
-                f"n_qubits must be >= 2, got {self.n_qubits}"
-            )
+        _check_n_qubits(self.n_qubits)
         if not 0.0 <= self.mu <= 1.0:
             raise InvalidParamsError(f"mu must lie in [0, 1], got {self.mu!r}")
 
@@ -105,10 +113,7 @@ class PauliDiagonalParams:
     c3: float
 
     def __post_init__(self):
-        if self.n_qubits < 2:
-            raise InvalidParamsError(
-                f"n_qubits must be >= 2, got {self.n_qubits}"
-            )
+        _check_n_qubits(self.n_qubits)
         for name in ("c1", "c2", "c3"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -223,9 +228,11 @@ def gqd_werner_ghz(params: WernerGhzParams) -> float:
 
         D = (a + mu) log2(a + mu) + a log2(a) - 2 (a + mu/2) log2(a + mu/2).
 
-    The optimal measurement is along z on every qubit.
+    The optimal measurement is along z on every qubit. ``a`` is scaled by
+    ``ldexp``, so it underflows to 0 and ``D`` tends to ``mu`` for large N
+    instead of overflowing.
     """
-    a = (1.0 - params.mu) / 2**params.n_qubits
+    a = math.ldexp(1.0 - params.mu, -params.n_qubits)
     return (
         _xlog2(a + params.mu) + _xlog2(a) - 2.0 * _xlog2(a + params.mu / 2.0)
     )
@@ -387,15 +394,10 @@ def _start_points(n: int, opts: OptimizerOptions) -> list[np.ndarray]:
     return points
 
 
-def _pinched_probabilities(rho_mat: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the pinched state: the rotated diagonal of rho."""
-    v = _kron_all([_angles_to_unitary(angles[2 * i], angles[2 * i + 1]) for i in range(n)])
-    rotated = v @ rho_mat @ v.conj().T
-    return np.clip(np.real(np.diag(rotated)), 0.0, None)
-
-
-def _entropy_bits_fast(p: np.ndarray) -> float:
-    return float(entr(p).sum() / _LN2)
+def _measured_probabilities(rho_mat: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Outcome distribution of the measurement at ``[theta_0, phi_0, ...]``."""
+    unitaries = _angles_to_unitaries(angles[0::2], angles[1::2])
+    return _measured_distribution(rho_mat, unitaries).real
 
 
 def _run_starts(objective, points, opts: OptimizerOptions):
@@ -490,15 +492,18 @@ def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> Gqd
 
     rho_mat = rho.matrix
     i_rho = mutual_information(rho)
+    # Bloch vector r_j = (2 Re m01, -2 Im m01, m00 - m11) of each marginal m.
+    marginals = np.array([partial_trace(rho, {j}).matrix for j in range(n)])
+    rx, ry = 2.0 * marginals[:, 0, 1].real, -2.0 * marginals[:, 0, 1].imag
+    rz = (marginals[:, 0, 0] - marginals[:, 1, 1]).real
 
     def objective(angles: np.ndarray) -> float:
-        q = _pinched_probabilities(rho_mat, n, angles)
-        s_phi = _entropy_bits_fast(q)
-        cube = q.reshape((2,) * n)
-        marg_sum = 0.0
-        for j in range(n):
-            axes = tuple(k for k in range(n) if k != j)
-            marg_sum += _entropy_bits_fast(cube.sum(axis=axes))
+        s_phi = _entropy_bits(_measured_probabilities(rho_mat, angles))
+        # Qubit j's measured marginal is (1 +/- n_j . r_j) / 2 for the unit
+        # direction n_j at angles (theta_j, phi_j).
+        sin, cos = np.sin(angles), np.cos(angles)
+        dots = sin[0::2] * (cos[1::2] * rx + sin[1::2] * ry) + cos[0::2] * rz
+        marg_sum = _entropy_bits(np.concatenate([1.0 + dots, 1.0 - dots]) / 2.0)
         return i_rho - (marg_sum - s_phi)
 
     best, diag = _run_starts(objective, _start_points(n, opts), opts)
@@ -536,22 +541,13 @@ def gqd_maximally_mixed(
     s_rho = von_neumann_entropy(rho)
 
     def objective(angles: np.ndarray) -> float:
-        return _entropy_bits_fast(_pinched_probabilities(rho_mat, n, angles))
+        return _entropy_bits(_measured_probabilities(rho_mat, angles))
 
     best, diag = _run_starts(objective, _start_points(n, opts), opts)
     raw = float(best.fun) - s_rho
-    diag = OptimizerDiagnostics(
-        starts=diag.starts,
-        iterations=diag.iterations,
-        evaluations=diag.evaluations,
-        best_objective_history_length=diag.best_objective_history_length,
-        seed=diag.seed,
-        raw_value=raw,
-        converged=diag.converged,
-    )
     return GqdResult(
         value=max(raw, 0.0),
         method="maximally_mixed",
         optimal_measurement=LocalMeasurement.from_angles(best.x).canonicalized(),
-        diagnostics=diag,
+        diagnostics=replace(diag, raw_value=raw),
     )

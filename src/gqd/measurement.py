@@ -112,29 +112,49 @@ def rotation_to_z(direction: BlochVector) -> np.ndarray:
     """2x2 unitary ``V`` with ``V (n . sigma) V^dagger = sigma_z``."""
     theta = math.atan2(math.hypot(direction.x, direction.y), direction.z)
     phi = math.atan2(direction.y, direction.x)
-    return _angles_to_unitary(theta, phi)
+    return _angles_to_unitaries(np.array([theta]), np.array([phi]))[0]
 
 
-def _angles_to_unitary(theta: float, phi: float) -> np.ndarray:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    e = complex(math.cos(phi), -math.sin(phi))  # exp(-i phi)
-    return np.array([[c, e * s], [-e.conjugate() * s, c]], dtype=np.complex128)
+def _angles_to_unitaries(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Stack of the ``rotation_to_z`` unitaries for polar angles and azimuths."""
+    c = np.cos(theta / 2.0)
+    es = np.exp(-1j * phi) * np.sin(theta / 2.0)
+    u = np.empty((c.size, 2, 2), dtype=np.complex128)
+    u[:, 0, 0] = u[:, 1, 1] = c
+    u[:, 0, 1] = es
+    u[:, 1, 0] = -es.conj()
+    return u
 
 
-def _kron_all(mats) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+def _measured_distribution(mat: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """Diagonal of ``V mat V^dagger`` for ``V = u_0 x u_1 x ... x u_{n-1}``.
+
+    Contracts one qubit at a time: ``u_j`` acts on row leg j, ``conj(u_j)``
+    on column leg j, and only that leg's diagonal is kept. The outcome axis
+    doubles while both remaining legs halve, so the work is O(4^N) and no
+    2^N x 2^N unitary is built. Entries are complex; they are the outcome
+    probabilities when ``mat`` is a density matrix.
+    """
+    # t[outcomes so far, remaining row legs, remaining column legs]
+    t = mat.reshape(1, *mat.shape)
+    # w[x] is row x of conj(u_j) as a 2x1 column, so the second matmul
+    # contracts column leg j of outcome x with conj(u_j)[x] only.
+    conj_rows = unitaries.conj()[:, :, None, :, None]
+    for u, w in zip(unitaries, conj_rows):
+        b, r = t.shape[0], t.shape[1] // 2
+        rows = (u @ t.reshape(b, 2, 2 * r * r)).reshape(b, 2, r, 2, r)
+        t = (rows.transpose(0, 1, 2, 4, 3) @ w).reshape(2 * b, r, r)
+    return t.reshape(-1)
 
 
 def pinch_matrix(mat, directions) -> np.ndarray:
     """Pinching of an arbitrary square matrix along per-qubit directions.
 
-    Rotates each qubit so its measurement axis becomes z, zeroes every
-    off-diagonal element, then rotates back. Linear in ``mat``; does not
-    require or preserve density-matrix normalization.
+    Takes the diagonal ``q`` of ``mat`` in the rotated product basis, then
+    rebuilds ``sum_x q_x P_0(x_0) x ... x P_{n-1}(x_{n-1})`` one qubit at a
+    time from the rank-1 projectors ``P_j(x) = u_j^dagger |x><x| u_j``.
+    Linear in ``mat``; does not require or preserve density-matrix
+    normalization.
     """
     a = np.asarray(mat, dtype=np.complex128)
     n = len(directions)
@@ -143,10 +163,14 @@ def pinch_matrix(mat, directions) -> np.ndarray:
         raise ValueError(
             f"matrix shape {a.shape} does not match {n} measurement directions"
         )
-    v = _kron_all([rotation_to_z(dd) for dd in directions])
-    rotated = v @ a @ v.conj().T
-    pinched = np.diag(np.diag(rotated))
-    return v.conj().T @ pinched @ v
+    unitaries = np.stack([rotation_to_z(dd) for dd in directions])
+    t = _measured_distribution(a, unitaries).reshape(d, 1, 1)
+    for u in unitaries[::-1]:
+        b, r = t.shape[0] // 2, t.shape[1]
+        proj = u.conj()[:, :, None] * u[:, None, :]
+        t = np.einsum("bxrs,xac->barcs", t.reshape(b, 2, r, r), proj)
+        t = t.reshape(b, 2 * r, 2 * r)
+    return t.reshape(d, d)
 
 
 def apply_local_measurement(rho: DensityMatrix, m: LocalMeasurement) -> DensityMatrix:

@@ -86,9 +86,9 @@ class DensityMatrix:
     Parameters
     ----------
     matrix : array_like
-        Square ``2**n x 2**n`` complex matrix. It must be Hermitian within
-        1e-10, have unit trace within 1e-10, and have eigenvalues no lower
-        than -1e-9.
+        Square ``2**n x 2**n`` complex matrix with finite entries. It must
+        be Hermitian within 1e-10, have unit trace within 1e-10, and have
+        eigenvalues no lower than -1e-9.
 
     Raises
     ------
@@ -110,6 +110,8 @@ class DensityMatrix:
             raise StateValidationError(
                 f"dimension {dim} is not a power of two >= 2"
             )
+        if not np.isfinite(arr).all():
+            raise StateValidationError("density matrix has NaN or infinite entries")
         herm = np.max(np.abs(arr - arr.conj().T))
         if herm > HERMITICITY_TOL:
             raise StateValidationError(
@@ -274,8 +276,12 @@ def shannon_entropy(weights) -> float:
         raise ValueError(
             f"probability vector has entry {float(w.min())!r} below -{PSD_TOL:.1e}"
         )
-    w = np.clip(w, 0.0, None)
-    return float(entr(w).sum() / _LN2)
+    return _entropy_bits(w)
+
+
+def _entropy_bits(weights: np.ndarray) -> float:
+    """Entropy in bits of nonnegative weights, rounding-level negatives as 0."""
+    return float(entr(np.maximum(weights, 0.0)).sum() / _LN2)
 
 
 def binary_entropy(p: float) -> float:

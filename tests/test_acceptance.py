@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from gqd.checks import run_checks
+from gqd.checks import random_valid_pauli_params, run_checks
 from gqd.cli import main
 from gqd.discord import (
     OptimizerOptions,
@@ -21,7 +21,6 @@ from gqd.discord import (
     gqd_werner_ghz,
     gqd_werner_ghz_asymptotic,
     pauli_diagonal_state,
-    validate_pauli_params,
     werner_ghz_state,
 )
 from gqd.dynamics import scan_gqd_vs_p, sudden_transition_point
@@ -40,14 +39,6 @@ from gqd.qcore import (
 )
 
 ACCEPTANCE_SEED = 20240815
-
-
-def random_valid_pauli(n, rng):
-    while True:
-        c = rng.uniform(-1.0, 1.0, size=3)
-        params = PauliDiagonalParams(n, *c)
-        if validate_pauli_params(params).ok:
-            return params
 
 
 def random_local_unitary(n, rng):
@@ -78,7 +69,7 @@ def test_criterion_02_correlation_diagonal_numeric_matches_closed_form():
     opts = OptimizerOptions(seed=ACCEPTANCE_SEED, starts=8)
     for n in (2, 3, 4):
         for _ in range(20):
-            params = random_valid_pauli(n, rng)
+            params = random_valid_pauli_params(n, rng)
             got = gqd_numeric(pauli_diagonal_state(params), opts)
             want = gqd_pauli_diagonal(params)
             assert abs(got.value - want) <= 1e-4, (n, params.coefficients())

@@ -79,6 +79,11 @@ class TestStateDocuments:
         with pytest.raises(DocumentError, match="n_qubits"):
             state_document_from_dict({"kind": "werner_ghz", "n_qubits": "two", "mu": 0.5})
 
+    @pytest.mark.parametrize("n", [True, 2.0, 2.5])
+    def test_rejects_non_integer_qubit_count(self, n):
+        with pytest.raises(DocumentError, match="n_qubits"):
+            state_document_from_dict({"kind": "werner_ghz", "n_qubits": n, "mu": 0.5})
+
 
 class TestCompute:
     def test_closed_form_route(self, tmp_path, capsys):
@@ -148,6 +153,17 @@ class TestCompute:
         assert code == EXIT_INVALID_INPUT
         assert "JSON" in err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dense_entry_rejected(self, tmp_path, capsys, bad):
+        mat = werner_ghz_state(WernerGhzParams(2, 0.5)).matrix.copy()
+        mat[1, 1] = bad
+        path = tmp_path / "bad.json"
+        save_state_document(str(path), StateDocument("dense", 2, matrix=mat))
+        code, out, err = run_cli(capsys, "compute", "--input", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "NaN or infinite" in err
+
     def test_missing_file_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--input", "/nonexistent/state.json")
         assert code == EXIT_INVALID_INPUT
@@ -209,6 +225,25 @@ class TestFigure1:
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_qubit_count_beyond_float_range_of_2_pow_n(self, tmp_path, capsys):
+        out_path = tmp_path / "fig.csv"
+        code, _, _ = run_cli(
+            capsys, "figure1", "--n-list", "2000", "--mu-steps", "3",
+            "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        assert [(float(mu), float(v)) for mu, _, v in rows] == [
+            (0.0, 0.0), (0.5, 0.5), (1.0, 1.0)
+        ]
+
+    def test_rejects_optimizer_flags(self, tmp_path, capsys):
+        for flag in ("--seed", "--starts", "--tol", "--max-n"):
+            with pytest.raises(SystemExit) as exc:
+                main(["figure1", flag, "3", "--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == EXIT_INVALID_INPUT, flag
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rejects_tiny_grid(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "figure1", "--mu-steps", "1", "--out", str(tmp_path / "x.csv")
@@ -260,6 +295,16 @@ class TestDephaseScan:
         assert code == EXIT_INVALID_INPUT
         assert "lambda" in err
 
+    def test_rejects_optimizer_flags(self, tmp_path, capsys):
+        for flag in ("--seed", "--starts", "--tol", "--max-n"):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "dephase-scan", "--n", "2", "--c1", "1.0", "--c2", "-0.6",
+                    "--c3", "0.6", flag, "3", "--out", str(tmp_path / "x.csv"),
+                ])
+            assert exc.value.code == EXIT_INVALID_INPUT, flag
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rejects_tiny_grid(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "dephase-scan", "--n", "2", "--c1", "0.5", "--c2", "0.1",
@@ -276,6 +321,13 @@ class TestVerify:
         assert "[PASS]" in out
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_rejects_optimizer_flags(self, capsys):
+        for flag in ("--starts", "--tol", "--max-n"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--scope", "lemmas", "--trials", "1", flag, "3"])
+            assert exc.value.code == EXIT_INVALID_INPUT, flag
+        assert capsys.readouterr().out == ""
 
     def test_theorem_scope_passes(self, capsys):
         # reduced trial count: the full default is exercised manually, this

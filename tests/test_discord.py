@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gqd.checks import random_valid_pauli_params
 from gqd.discord import (
     GqdResult,
     InvalidParamsError,
@@ -45,14 +46,6 @@ WERNER_N3_MU_HALF = 0.33187775400669917
 WERNER_N3_MU_QUARTER = 0.10955207494897745
 PAULI_N2_512 = 0.07192425229193178
 PAULI_N3_432 = 0.10198878140595202
-
-
-def random_valid_pauli(n, rng):
-    while True:
-        c = rng.uniform(-1.0, 1.0, size=3)
-        p = PauliDiagonalParams(n, *c)
-        if validate_pauli_params(p).ok:
-            return p
 
 
 class TestWernerGhzFamily:
@@ -102,6 +95,21 @@ class TestWernerGhzFamily:
             dev = abs(gqd_werner_ghz(WernerGhzParams(10, mu)) - mu)
             assert dev < 1e-2
 
+    def test_closed_form_tends_to_mu_beyond_float_range_of_2_pow_n(self):
+        for mu in (0.0, 0.3, 0.75, 1.0):
+            assert abs(gqd_werner_ghz(WernerGhzParams(2000, mu)) - mu) <= 1e-12
+
+    def test_closed_form_bit_identical_to_division_by_2_pow_n(self):
+        def xlog2(t):
+            return 0.0 if t <= 0.0 else t * math.log2(t)
+
+        for n in range(2, 33):
+            for mu in np.linspace(0.0, 1.0, 11):
+                mu = float(mu)
+                a = (1.0 - mu) / 2**n
+                old = xlog2(a + mu) + xlog2(a) - 2.0 * xlog2(a + mu / 2.0)
+                assert gqd_werner_ghz(WernerGhzParams(n, mu)) == old, (n, mu)
+
     def test_params_validation(self):
         with pytest.raises(InvalidParamsError):
             WernerGhzParams(1, 0.5)
@@ -109,6 +117,13 @@ class TestWernerGhzFamily:
             WernerGhzParams(2, -0.1)
         with pytest.raises(InvalidParamsError):
             WernerGhzParams(2, 1.1)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
+    def test_qubit_count_must_be_int(self, n):
+        with pytest.raises(InvalidParamsError, match="integer"):
+            WernerGhzParams(n, 0.5)
+        with pytest.raises(InvalidParamsError, match="integer"):
+            PauliDiagonalParams(n, 0.1, 0.2, 0.3)
 
 
 class TestPauliDiagonalFamily:
@@ -125,7 +140,7 @@ class TestPauliDiagonalFamily:
     def test_spectrum_matches_eigensolver(self, n):
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(5):
-            params = random_valid_pauli(n, rng)
+            params = random_valid_pauli_params(n, rng)
             want = np.sort(np.linalg.eigvalsh(pauli_diagonal_state(params).matrix))
             got = np.sort(pauli_diagonal_spectrum(params).values)
             assert np.allclose(got, want, atol=1e-10)
@@ -177,7 +192,7 @@ class TestPauliDiagonalFamily:
     def test_odd_n_invariant_under_signed_permutations(self):
         # the odd formula sees only max |c_i| and the radius
         rng = np.random.default_rng(RNG_SEED)
-        base = random_valid_pauli(3, rng)
+        base = random_valid_pauli_params(3, rng)
         ref = gqd_pauli_diagonal(base)
         for perm in itertools.permutations(base.coefficients()):
             for signs in itertools.product((-1, 1), repeat=3):
@@ -189,7 +204,7 @@ class TestPauliDiagonalFamily:
     def test_even_n_invariant_under_double_sign_flips(self):
         rng = np.random.default_rng(RNG_SEED)
         for n in (2, 4):
-            base = random_valid_pauli(n, rng)
+            base = random_valid_pauli_params(n, rng)
             c1, c2, c3 = base.coefficients()
             ref = gqd_pauli_diagonal(base)
             lam_ref = np.sort(pauli_diagonal_spectrum(base).values)
@@ -203,7 +218,7 @@ class TestPauliDiagonalFamily:
 
     def test_even_n_invariant_under_xy_swap(self):
         rng = np.random.default_rng(RNG_SEED)
-        base = random_valid_pauli(2, rng)
+        base = random_valid_pauli_params(2, rng)
         c1, c2, c3 = base.coefficients()
         swapped = PauliDiagonalParams(2, c2, c1, c3)
         assert math.isclose(
@@ -233,6 +248,16 @@ class TestCrossFamilyAgreement:
 
 
 class TestNumericOptimizer:
+    def test_raw_value_is_the_objective_at_the_reported_measurement(self):
+        # Ginibre states have marginal Bloch vectors with x, y and z parts,
+        # so every term of the per-qubit marginal entropies is exercised.
+        rng = np.random.default_rng(RNG_SEED)
+        for n in (2, 3, 4):
+            rho = random_density_matrix(n, rng)
+            res = gqd_numeric(rho, OptimizerOptions(starts=4, max_evals_per_start=400))
+            want = measurement_objective(rho, res.optimal_measurement)
+            assert abs(res.diagnostics.raw_value - want) <= 1e-9, n
+
     def test_matches_werner_closed_form(self):
         for n, mu in [(2, 0.5), (2, 0.9), (3, 0.5)]:
             got = gqd_numeric(werner_ghz_state(WernerGhzParams(n, mu)))
@@ -243,7 +268,7 @@ class TestNumericOptimizer:
     def test_matches_pauli_closed_form(self):
         rng = np.random.default_rng(RNG_SEED)
         for n in (2, 3):
-            params = random_valid_pauli(n, rng)
+            params = random_valid_pauli_params(n, rng)
             got = gqd_numeric(pauli_diagonal_state(params))
             assert abs(got.value - gqd_pauli_diagonal(params)) <= 1e-4
 
@@ -335,8 +360,8 @@ class TestMixedMarginalShortcut:
         cases = [
             werner_ghz_state(WernerGhzParams(2, 0.5)),
             werner_ghz_state(WernerGhzParams(3, 0.8)),
-            pauli_diagonal_state(random_valid_pauli(2, rng)),
-            pauli_diagonal_state(random_valid_pauli(3, rng)),
+            pauli_diagonal_state(random_valid_pauli_params(2, rng)),
+            pauli_diagonal_state(random_valid_pauli_params(3, rng)),
         ]
         for rho in cases:
             fast = gqd_maximally_mixed(rho)
@@ -353,6 +378,22 @@ class TestMixedMarginalShortcut:
         res = gqd_maximally_mixed(maximally_mixed(2))
         assert res.value == 0.0
         assert res.method == "maximally_mixed"
+
+    def test_matches_closed_forms_on_acceptance_grids(self):
+        # The GHZ-mixture grid of acceptance criterion 1 and two-qubit
+        # (Bell-diagonal) draws of criterion 2, at their tolerance.
+        seed = 20240815
+        opts = OptimizerOptions(seed=seed, starts=8)
+        for n in (2, 3):
+            for mu in (0.0, 0.25, 0.5, 0.75, 1.0):
+                params = WernerGhzParams(n, mu)
+                got = gqd_maximally_mixed(werner_ghz_state(params), opts).value
+                assert abs(got - gqd_werner_ghz(params)) <= 1e-4, (n, mu)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            params = random_valid_pauli_params(2, rng)
+            got = gqd_maximally_mixed(pauli_diagonal_state(params), opts).value
+            assert abs(got - gqd_pauli_diagonal(params)) <= 1e-4, params
 
     def test_freezes_raw_value_in_diagnostics(self):
         rho = werner_ghz_state(WernerGhzParams(2, 0.5))

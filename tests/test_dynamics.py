@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gqd.checks import random_valid_pauli_params
 from gqd.discord import (
     PauliDiagonalParams,
     gqd_numeric,
@@ -25,14 +26,6 @@ RNG_SEED = 20240814
 # Discord value held during the frozen phase of the (1, -0.6, 0.6) sweep:
 # 1 - H2(0.8), with H2 the binary entropy in bits.
 FREEZE_VALUE = 0.2780719051126377
-
-
-def random_valid_pauli(n, rng):
-    while True:
-        c = rng.uniform(-1.0, 1.0, size=3)
-        p = PauliDiagonalParams(n, *c)
-        if validate_pauli_params(p).ok:
-            return p
 
 
 class TestPhaseDamping:
@@ -67,7 +60,7 @@ class TestPhaseDamping:
         # transverse coefficients and leaves the state in the same family
         rng = np.random.default_rng(RNG_SEED)
         for n in (2, 3):
-            params = random_valid_pauli(n, rng)
+            params = random_valid_pauli_params(n, rng)
             for p in (0.2, 0.7):
                 damped = phase_damping(pauli_diagonal_state(params), 0, p)
                 mapped = pauli_diagonal_state(dephase_pauli_params(params, p))
@@ -76,7 +69,7 @@ class TestPhaseDamping:
     def test_numeric_discord_tracks_closed_form_after_damping(self):
         rng = np.random.default_rng(RNG_SEED)
         for n in (2, 3):
-            params = random_valid_pauli(n, rng)
+            params = random_valid_pauli_params(n, rng)
             p = float(rng.uniform(0.1, 0.9))
             damped = phase_damping(pauli_diagonal_state(params), 0, p)
             want = gqd_pauli_diagonal(dephase_pauli_params(params, p))
@@ -98,7 +91,7 @@ class TestDephaseParamMap:
     def test_preserves_validity_along_sweep(self):
         rng = np.random.default_rng(RNG_SEED)
         for n in (2, 3, 4):
-            params = random_valid_pauli(n, rng)
+            params = random_valid_pauli_params(n, rng)
             for p in np.linspace(0.0, 1.0, 21):
                 assert validate_pauli_params(dephase_pauli_params(params, p)).ok
 
@@ -137,7 +130,7 @@ class TestScan:
         step = grid[1] - grid[0]
         tested_with, tested_without = 0, 0
         while tested_with < 6 or tested_without < 6:
-            params = random_valid_pauli(2, rng)
+            params = random_valid_pauli_params(2, rng)
             p_star = sudden_transition_point(params)
             records, report = scan_gqd_vs_p(params, grid)
             assert report.predicted_transition_p == p_star

@@ -9,6 +9,8 @@ import pytest
 from gqd.discord import WernerGhzParams, werner_ghz_state
 from gqd.measurement import (
     LocalMeasurement,
+    _angles_to_unitaries,
+    _measured_distribution,
     apply_local_measurement,
     canonical_direction,
     measurement_objective,
@@ -53,6 +55,71 @@ def pinch_by_projector_sum(mat: np.ndarray, directions) -> np.ndarray:
             p = np.kron(p, k[c])
         out += p @ mat @ p
     return out
+
+
+def kron_all(mats) -> np.ndarray:
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def angle_cases(n: int, rng: np.random.Generator) -> dict:
+    """Random angles, the optimizer's three axis starts, and both poles."""
+    def tiled(theta, phi):
+        return np.tile([theta, phi], n).astype(float)
+
+    def pole(theta):
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        return np.column_stack([np.full(n, theta), phi]).ravel()
+
+    return {
+        "random": rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=2 * n),
+        "z": tiled(0.0, 0.0),
+        "x": tiled(math.pi / 2.0, 0.0),
+        "y": tiled(math.pi / 2.0, math.pi / 2.0),
+        "theta=0": pole(0.0),
+        "theta=pi": pole(math.pi),
+    }
+
+
+def directions_from_angles(angles: np.ndarray) -> tuple[BlochVector, ...]:
+    return tuple(
+        BlochVector.from_angles(angles[2 * i], angles[2 * i + 1])
+        for i in range(angles.size // 2)
+    )
+
+
+class TestMeasuredDistributionKernel:
+    """The one-qubit-at-a-time contraction against an explicit Kronecker V."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_kronecker_reference(self, n):
+        rng = np.random.default_rng(RNG_SEED + n)
+        rho = random_density_matrix(n, rng).matrix
+        for name, angles in angle_cases(n, rng).items():
+            unitaries = _angles_to_unitaries(angles[0::2], angles[1::2])
+            v = kron_all(list(unitaries))
+            want = np.diag(v @ rho @ v.conj().T)
+            got = _measured_distribution(rho, unitaries)
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_pinch_matrix_matches_kronecker_reference(self, n):
+        rng = np.random.default_rng(RNG_SEED + 100 + n)
+        d = 2**n
+        mats = {
+            "ginibre_state": random_density_matrix(n, rng).matrix,
+            "non_hermitian": (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d,
+        }
+        for name, angles in angle_cases(n, rng).items():
+            directions = directions_from_angles(angles)
+            v = kron_all([rotation_to_z(dd) for dd in directions])
+            for kind, mat in mats.items():
+                rotated = v @ mat @ v.conj().T
+                want = v.conj().T @ np.diag(np.diag(rotated)) @ v
+                got = pinch_matrix(mat, directions)
+                assert np.max(np.abs(got - want)) <= 1e-12, (name, kind)
 
 
 class TestProjectors:

@@ -67,6 +67,13 @@ class TestDensityMatrix:
         with pytest.raises(StateValidationError, match="positive semidefinite"):
             DensityMatrix(m)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        mat = bell_phi_plus().matrix.copy()
+        mat[0, 3] = mat[3, 0] = bad
+        with pytest.raises(StateValidationError, match="NaN or infinite"):
+            DensityMatrix(mat)
+
     def test_rejects_non_power_of_two_dim(self):
         with pytest.raises(StateValidationError, match="power of two"):
             DensityMatrix(np.eye(3) / 3)
