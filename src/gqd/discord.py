@@ -17,17 +17,21 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .measurement import (
     LocalMeasurement,
-    _angles_to_unitaries,
     _measured_distribution,
+    _upper_unitaries,
 )
 from .qcore import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    BlochVector,
     DensityMatrix,
     Spectrum,
     _entropy_bits,
@@ -303,17 +307,20 @@ def gqd_pauli_diagonal(params: PauliDiagonalParams) -> float:
 class OptimizerOptions:
     """Knobs for the numeric minimization.
 
-    ``starts`` defaults to ``8 * n_qubits``: the three fixed axis starts
-    (z, x, y on every qubit) plus seeded random directions. ``threads``
-    overrides the ``GQD_THREADS`` environment variable; 0 means one thread
-    per CPU, capped by the number of starts.
+    Each start is refined by L-BFGS-B on one unconstrained 3-vector per
+    qubit. ``starts`` defaults to ``8 * n_qubits``: the three fixed axis
+    starts (z, x, y on every qubit) plus seeded random directions.
+    ``max_evals_per_start`` caps the value-and-gradient evaluations of one
+    start (L-BFGS-B ``maxfun``), and ``f_tol`` is its relative-decrease
+    stopping tolerance (``ftol``). ``threads`` overrides the ``GQD_THREADS``
+    environment variable; 0 means one thread per CPU, capped by the number
+    of starts.
     """
 
     seed: int = 0
     starts: int | None = None
     max_evals_per_start: int = 2000
     f_tol: float = 1e-10
-    x_tol: float = 1e-5
     max_qubits: int = 12
     threads: int | None = None
     seed_measurements: tuple[LocalMeasurement, ...] = ()
@@ -321,10 +328,19 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class OptimizerDiagnostics:
+    """Totals over the starts, and a certificate for the reported optimum.
+
+    ``starts_agreeing`` counts the starts whose final value lies within 1e-6
+    of the best. ``grad_norm`` is the largest per-qubit norm of the tangent
+    (Riemannian) gradient at the optimum; ``converged`` is the winning
+    start's stopping flag.
+    """
+
     starts: int
     iterations: int
     evaluations: int
-    best_objective_history_length: int
+    starts_agreeing: int
+    grad_norm: float
     seed: int
     raw_value: float
     converged: bool
@@ -360,58 +376,115 @@ def _resolve_threads(requested: int | None, n_tasks: int) -> int:
     return max(1, min(requested, n_tasks))
 
 
-_AXIS_ANGLES = {
-    "z": (0.0, 0.0),
-    "x": (math.pi / 2.0, 0.0),
-    "y": (math.pi / 2.0, math.pi / 2.0),
-}
+# L-BFGS-B also stops once every gradient component is below this. Much
+# lower is not attainable: near a minimum a gradient g buys a decrease of
+# about g^2 / curvature, which drops under the objective's rounding below
+# g ~ 1e-8, and the line search then fails instead of converging.
+_GRAD_TOL = 1e-7
+# Starts whose final values lie this close to the best count as agreeing.
+_AGREE_TOL = 1e-6
+# Floor on probabilities inside log2; a zero q_x has zero coherences.
+_TINY = 1e-300
+# Column b is sigma_b^T flattened, so that (a b^T).ravel() @ _PAULI_TRACE
+# gives tr(sigma_b a b^T) for b = x, y, z.
+_PAULI_TRACE = np.stack([p.T.ravel() for p in (PAULI_X, PAULI_Y, PAULI_Z)], axis=1)
+
+_AXIS_VECTORS = {"z": (0.0, 0.0, 1.0), "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}
 
 
 def _start_points(n: int, opts: OptimizerOptions) -> list[np.ndarray]:
+    """Stacked direction vectors ``[v_0, v_1, ...]`` of every start."""
     total = opts.starts if opts.starts is not None else 8 * n
     if total < 1:
         raise ValueError(f"starts must be >= 1, got {total}")
-    points = []
-    for axis in ("z", "x", "y")[: min(3, total)]:
-        theta, phi = _AXIS_ANGLES[axis]
-        points.append(np.tile([theta, phi], n))
+    axes = ("z", "x", "y")[: min(3, total)]
+    points = [np.tile(_AXIS_VECTORS[axis], n) for axis in axes]
     for m in opts.seed_measurements:
         if m.n_qubits != n:
             raise ValueError(
                 f"seed measurement covers {m.n_qubits} qubits, expected {n}"
             )
-        angles = []
-        for d in m.directions:
-            angles.append(math.atan2(math.hypot(d.x, d.y), d.z))
-            angles.append(math.atan2(d.y, d.x))
-        points.append(np.array(angles))
+        points.append(np.concatenate([d.as_array() for d in m.directions]))
     rng = np.random.default_rng(opts.seed)
     while len(points) < total + len(opts.seed_measurements):
         z = rng.uniform(-1.0, 1.0, size=n)
         phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        theta = np.arccos(z)
-        points.append(np.column_stack([theta, phi]).ravel())
+        s = np.sqrt(1.0 - z * z)
+        points.append(np.column_stack([s * np.cos(phi), s * np.sin(phi), z]).ravel())
     return points
 
 
-def _measured_probabilities(rho_mat: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Outcome distribution of the measurement at ``[theta_0, phi_0, ...]``."""
-    unitaries = _angles_to_unitaries(angles[0::2], angles[1::2])
-    return _measured_distribution(rho_mat, unitaries).real
+def _entropy_objective(rho_mat: np.ndarray, marginal: bool):
+    """Value and gradient of ``H(q) - sum_j H(q_j)`` over stacked vectors.
+
+    ``x = [v_0, v_1, ...]`` measures qubit j along ``n_j = v_j / |v_j|``; q
+    is the measured distribution and q_j qubit j's measured marginal. With
+    ``marginal=False`` the marginal term is left out.
+
+    Turning n_j along the tangent frame vector ``t_x`` (``t_y``) of its
+    unitary moves ``q_(y,0_j)`` by ``Re c_j(y)`` (``-Im c_j(y)``) and
+    ``q_(y,1_j)`` by the opposite, where c_j are the kernel's coherences. So
+    with ``L_j(y) = log2(q_(y,0_j) / q_(y,1_j))`` and
+    ``s_j = sum_y L_j(y) c_j(y)`` the tangent gradient of H(q) is
+    ``-Re s_j t_x + Im s_j t_y = -Re(s_j (t_x + i t_y))``. The marginal term
+    subtracts ``log2(q_j0 / q_j1)`` from every ``L_j(y)``. The gradient in
+    ``v_j`` is the tangent gradient divided by ``|v_j|``.
+    """
+    n = int(rho_mat.shape[0]).bit_length() - 1
+    # idx_x[j, y]: position in q of the outcome with qubit j at x and the
+    # other qubits at y, in the order of the kernel's c_j(y).
+    cube = np.arange(2**n).reshape((2,) * n)
+    idx0, idx1 = (
+        np.array([np.take(cube, x, j).ravel() for j in range(n)]) for x in (0, 1)
+    )
+
+    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+        v = x.reshape(n, 3)
+        # n_j and -n_j are one measurement with its outcomes swapped: measure
+        # along the one with z >= 0 and flip the gradient back.
+        scale = np.where(v[:, 2] < 0.0, -1.0, 1.0) / np.sqrt((v * v).sum(axis=1))
+        unitaries = _upper_unitaries(v * scale[:, None])
+        q, c = _measured_distribution(rho_mat, unitaries, coherences=True)
+        q = q.real
+        value = _entropy_bits(q)
+        log_q = np.log2(np.maximum(q, _TINY))
+        ratio = log_q[idx0] - log_q[idx1]
+        if marginal:
+            p0, p1 = q[idx0].sum(axis=1), q[idx1].sum(axis=1)
+            value -= _entropy_bits(np.concatenate([p0, p1]))
+            ratio -= np.log2(np.maximum(p0, _TINY) / np.maximum(p1, _TINY))[:, None]
+        s = (ratio * c).sum(axis=1)
+        # t_x + i t_y is the Bloch vector of u_j^dagger |0><1| u_j.
+        flip = unitaries[:, 0, :, None].conj() * unitaries[:, 1, None, :]
+        frame = flip.reshape(n, 4) @ _PAULI_TRACE
+        return value, (-(s[:, None] * frame).real * scale[:, None]).ravel()
+
+    return fun
 
 
-def _run_starts(objective, points, opts: OptimizerOptions):
-    """Minimize from every start; reduce deterministically by (value, index)."""
+def _measurement_from(x: np.ndarray) -> LocalMeasurement:
+    v = x.reshape(-1, 3)
+    v = v / np.sqrt((v * v).sum(axis=1))[:, None]
+    m = LocalMeasurement(tuple(BlochVector(*map(float, row)) for row in v))
+    return m.canonicalized()
+
+
+def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
+    """Minimize from every start; reduce deterministically by (value, index).
+
+    The diagnostics' ``raw_value`` is ``offset`` plus the best value.
+    """
 
     def run(x0):
         return minimize(
-            objective,
+            fun,
             x0,
-            method="Nelder-Mead",
+            jac=True,
+            method="L-BFGS-B",
             options={
-                "maxfev": opts.max_evals_per_start,
-                "fatol": opts.f_tol,
-                "xatol": opts.x_tol,
+                "maxfun": opts.max_evals_per_start,
+                "ftol": opts.f_tol,
+                "gtol": _GRAD_TOL,
             },
         )
 
@@ -424,22 +497,19 @@ def _run_starts(objective, points, opts: OptimizerOptions):
     else:
         results = [run(x0) for x0 in points]
 
-    best_idx = 0
-    history = 0
-    best_val = math.inf
-    for i, r in enumerate(results):
-        if r.fun < best_val:
-            best_val = r.fun
-            best_idx = i
-            history += 1
-    best = results[best_idx]
+    values = np.array([r.fun for r in results])
+    best = results[int(np.argmin(values))]
+    # The tangent gradient is |v_j| times the gradient in v_j.
+    v, jac = best.x.reshape(-1, 3), best.jac.reshape(-1, 3)
+    grad_norm = np.sqrt((v * v).sum(axis=1) * (jac * jac).sum(axis=1)).max()
     diag = OptimizerDiagnostics(
         starts=len(points),
         iterations=int(sum(r.nit for r in results)),
         evaluations=int(sum(r.nfev for r in results)),
-        best_objective_history_length=history,
+        starts_agreeing=int(np.sum(values <= best.fun + _AGREE_TOL)),
+        grad_norm=float(grad_norm),
         seed=opts.seed,
-        raw_value=float(best.fun),
+        raw_value=offset + float(best.fun),
         converged=bool(best.success),
     )
     return best, diag
@@ -469,7 +539,8 @@ def _short_circuit_result(n: int, opts: OptimizerOptions, method: str) -> GqdRes
             starts=0,
             iterations=0,
             evaluations=0,
-            best_objective_history_length=0,
+            starts_agreeing=0,
+            grad_norm=0.0,
             seed=opts.seed,
             raw_value=0.0,
             converged=True,
@@ -480,8 +551,10 @@ def _short_circuit_result(n: int, opts: OptimizerOptions, method: str) -> GqdRes
 def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> GqdResult:
     """Global quantum discord by multi-start minimization over measurements.
 
-    Parameterizes each qubit's direction by two angles and refines every
-    start with a derivative-free simplex search. Deterministic for a fixed
+    Parameterizes qubit j's direction by an unconstrained 3-vector ``v_j``
+    (measured along ``v_j / |v_j|``, which has no poles) and refines every
+    start with L-BFGS-B. Each evaluation returns the objective and its exact
+    gradient from one O(4^N) contraction. Deterministic for a fixed
     ``opts.seed`` regardless of how the starts are scheduled.
     """
     opts = opts or OptimizerOptions()
@@ -490,27 +563,14 @@ def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> Gqd
     if _is_maximally_mixed(rho):
         return _short_circuit_result(n, opts, "numeric")
 
-    rho_mat = rho.matrix
-    i_rho = mutual_information(rho)
-    # Bloch vector r_j = (2 Re m01, -2 Im m01, m00 - m11) of each marginal m.
-    marginals = np.array([partial_trace(rho, {j}).matrix for j in range(n)])
-    rx, ry = 2.0 * marginals[:, 0, 1].real, -2.0 * marginals[:, 0, 1].imag
-    rz = (marginals[:, 0, 0] - marginals[:, 1, 1]).real
-
-    def objective(angles: np.ndarray) -> float:
-        s_phi = _entropy_bits(_measured_probabilities(rho_mat, angles))
-        # Qubit j's measured marginal is (1 +/- n_j . r_j) / 2 for the unit
-        # direction n_j at angles (theta_j, phi_j).
-        sin, cos = np.sin(angles), np.cos(angles)
-        dots = sin[0::2] * (cos[1::2] * rx + sin[1::2] * ry) + cos[0::2] * rz
-        marg_sum = _entropy_bits(np.concatenate([1.0 + dots, 1.0 - dots]) / 2.0)
-        return i_rho - (marg_sum - s_phi)
-
-    best, diag = _run_starts(objective, _start_points(n, opts), opts)
+    fun = _entropy_objective(rho.matrix, marginal=True)
+    best, diag = _run_starts(
+        fun, _start_points(n, opts), opts, offset=mutual_information(rho)
+    )
     return GqdResult(
-        value=max(float(best.fun), 0.0),
+        value=max(diag.raw_value, 0.0),
         method="numeric",
-        optimal_measurement=LocalMeasurement.from_angles(best.x).canonicalized(),
+        optimal_measurement=_measurement_from(best.x),
         diagnostics=diag,
     )
 
@@ -537,17 +597,13 @@ def gqd_maximally_mixed(
     if _is_maximally_mixed(rho):
         return _short_circuit_result(n, opts, "maximally_mixed")
 
-    rho_mat = rho.matrix
-    s_rho = von_neumann_entropy(rho)
-
-    def objective(angles: np.ndarray) -> float:
-        return _entropy_bits(_measured_probabilities(rho_mat, angles))
-
-    best, diag = _run_starts(objective, _start_points(n, opts), opts)
-    raw = float(best.fun) - s_rho
+    fun = _entropy_objective(rho.matrix, marginal=False)
+    best, diag = _run_starts(
+        fun, _start_points(n, opts), opts, offset=-von_neumann_entropy(rho)
+    )
     return GqdResult(
-        value=max(raw, 0.0),
+        value=max(diag.raw_value, 0.0),
         method="maximally_mixed",
-        optimal_measurement=LocalMeasurement.from_angles(best.x).canonicalized(),
-        diagnostics=replace(diag, raw_value=raw),
+        optimal_measurement=_measurement_from(best.x),
+        diagnostics=diag,
     )

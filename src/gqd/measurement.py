@@ -21,6 +21,7 @@ from .qcore import (
     PAULI_Z,
     BlochVector,
     DensityMatrix,
+    _entropy_bits,
     mutual_information,
     partial_trace,
     relative_entropy,
@@ -115,10 +116,9 @@ def rotation_to_z(direction: BlochVector) -> np.ndarray:
     return _angles_to_unitaries(np.array([theta]), np.array([phi]))[0]
 
 
-def _angles_to_unitaries(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Stack of the ``rotation_to_z`` unitaries for polar angles and azimuths."""
-    c = np.cos(theta / 2.0)
-    es = np.exp(-1j * phi) * np.sin(theta / 2.0)
+def _unitaries(c: np.ndarray, es: np.ndarray) -> np.ndarray:
+    """Stack of ``[[c, es], [-conj(es), c]]``, the ``rotation_to_z`` unitaries
+    for ``c = cos(theta / 2)`` and ``es = exp(-i phi) sin(theta / 2)``."""
     u = np.empty((c.size, 2, 2), dtype=np.complex128)
     u[:, 0, 0] = u[:, 1, 1] = c
     u[:, 0, 1] = es
@@ -126,25 +126,62 @@ def _angles_to_unitaries(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return u
 
 
-def _measured_distribution(mat: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+def _angles_to_unitaries(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Stack of the ``rotation_to_z`` unitaries for polar angles and azimuths."""
+    return _unitaries(np.cos(theta / 2.0), np.exp(-1j * phi) * np.sin(theta / 2.0))
+
+
+def _upper_unitaries(axes: np.ndarray) -> np.ndarray:
+    """Stack of the ``rotation_to_z`` unitaries for unit axes with ``z >= 0``.
+
+    Without trigonometry: ``cos(theta / 2) = sqrt((1 + z) / 2)``, which is at
+    least ``1 / sqrt(2)`` on the upper hemisphere, and
+    ``exp(-i phi) sin(theta / 2) = (x - i y) / (2 cos(theta / 2))``.
+    """
+    c = np.sqrt((1.0 + axes[:, 2]) / 2.0)
+    return _unitaries(c, (axes[:, 0] - 1j * axes[:, 1]) / (2.0 * c))
+
+
+def _measured_distribution(
+    mat: np.ndarray, unitaries: np.ndarray, coherences: bool = False
+):
     """Diagonal of ``V mat V^dagger`` for ``V = u_0 x u_1 x ... x u_{n-1}``.
 
     Contracts one qubit at a time: ``u_j`` acts on row leg j, ``conj(u_j)``
     on column leg j, and only that leg's diagonal is kept. The outcome axis
     doubles while both remaining legs halve, so the work is O(4^N) and no
     2^N x 2^N unitary is built. Entries are complex; they are the outcome
-    probabilities when ``mat`` is a density matrix.
+    probabilities ``q`` when ``mat`` is a density matrix.
+
+    With ``coherences``, returns ``(q, c)``. ``c[j, y]`` is the entry of
+    ``V mat V^dagger`` between outcome 0 and outcome 1 of qubit j, with the
+    other qubits' outcomes ``y`` (in qubit order) equal on both sides: the
+    first-order change of ``q`` when qubit j's direction turns. At leg j
+    that entry is split off the rows of the distribution and rides along
+    as extra outcome rows through the remaining legs, which about doubles
+    the work.
     """
-    # t[outcomes so far, remaining row legs, remaining column legs]
+    # t[outcome rows, remaining row legs, remaining column legs]; the first
+    # `main` outcome rows are the distribution, the rest are coherences.
     t = mat.reshape(1, *mat.shape)
+    main = 1
     # w[x] is row x of conj(u_j) as a 2x1 column, so the second matmul
     # contracts column leg j of outcome x with conj(u_j)[x] only.
     conj_rows = unitaries.conj()[:, :, None, :, None]
     for u, w in zip(unitaries, conj_rows):
         b, r = t.shape[0], t.shape[1] // 2
         rows = (u @ t.reshape(b, 2, 2 * r * r)).reshape(b, 2, r, 2, r)
-        t = (rows.transpose(0, 1, 2, 4, 3) @ w).reshape(2 * b, r, r)
-    return t.reshape(-1)
+        rows = rows.transpose(0, 1, 2, 4, 3)
+        t = np.empty((2 * b + (main if coherences else 0), r, r), dtype=rows.dtype)
+        np.matmul(rows, w, out=t[: 2 * b].reshape(b, 2, r, r, 1))
+        if coherences:
+            # Row 0 of qubit j against column 1, for the distribution's rows.
+            np.matmul(rows[:main, 0], w[1], out=t[2 * b :].reshape(main, r, r, 1))
+            main *= 2
+    out = t.reshape(-1)
+    if not coherences:
+        return out
+    return out[:main], out[main:].reshape(len(unitaries), main // 2)
 
 
 def pinch_matrix(mat, directions) -> np.ndarray:
@@ -173,12 +210,16 @@ def pinch_matrix(mat, directions) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def apply_local_measurement(rho: DensityMatrix, m: LocalMeasurement) -> DensityMatrix:
-    """State after an unread local projective measurement on every qubit."""
+def _check_covers(rho: DensityMatrix, m: LocalMeasurement) -> None:
     if m.n_qubits != rho.n_qubits:
         raise ValueError(
             f"measurement covers {m.n_qubits} qubits, state has {rho.n_qubits}"
         )
+
+
+def apply_local_measurement(rho: DensityMatrix, m: LocalMeasurement) -> DensityMatrix:
+    """State after an unread local projective measurement on every qubit."""
+    _check_covers(rho, m)
     out = pinch_matrix(rho.matrix, m.directions)
     # The exact result is Hermitian; discard the rounding-level skew part so
     # validation never trips on it.
@@ -194,10 +235,7 @@ def post_measurement_marginal(
     Equal to pinching the reduced state directly, since the pinching on the
     other qubits traces away.
     """
-    if m.n_qubits != rho.n_qubits:
-        raise ValueError(
-            f"measurement covers {m.n_qubits} qubits, state has {rho.n_qubits}"
-        )
+    _check_covers(rho, m)
     if not 0 <= qubit < rho.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {rho.n_qubits} qubits")
     reduced = partial_trace(rho, {qubit})
@@ -210,10 +248,21 @@ def measurement_objective(rho: DensityMatrix, m: LocalMeasurement) -> float:
     """Mutual-information loss ``I(rho) - I(Phi(rho))`` of the measurement.
 
     Nonnegative for every measurement; its minimum over all local
-    measurements is the global quantum discord.
+    measurements is the global quantum discord. ``Phi(rho)`` is diagonal in
+    the rotated product basis, so ``I(Phi(rho)) = sum_j H(q_j) - H(q)`` for
+    the kernel's outcome distribution ``q`` and its one-qubit marginals
+    ``q_j``; no dense matrix is built or diagonalized.
     """
-    phi_rho = apply_local_measurement(rho, m)
-    return mutual_information(rho) - mutual_information(phi_rho)
+    _check_covers(rho, m)
+    n = m.n_qubits
+    unitaries = np.stack([rotation_to_z(d) for d in m.directions])
+    q = _measured_distribution(rho.matrix, unitaries).real
+    cube = q.reshape((2,) * n)
+    marginals = sum(
+        _entropy_bits(cube.sum(axis=tuple(k for k in range(n) if k != j)))
+        for j in range(n)
+    )
+    return mutual_information(rho) - (marginals - _entropy_bits(q))
 
 
 def relative_entropy_objective(rho: DensityMatrix, m: LocalMeasurement) -> float:

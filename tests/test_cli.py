@@ -116,6 +116,10 @@ class TestCompute:
         assert abs(record["value"] - gqd_werner_ghz(WernerGhzParams(2, 0.5))) <= 1e-4
         assert len(record["optimal_measurement"]) == 2
         assert record["diagnostics"]["evaluations"] > 0
+        diag = record["diagnostics"]
+        assert 1 <= diag["starts_agreeing"] <= diag["starts"]
+        assert 0.0 <= diag["grad_norm"] <= 1e-6
+        assert "best_objective_history_length" not in diag
         assert record["wall_time_s"] >= 0.0
 
     def test_dense_document_defaults_to_numeric(self, tmp_path, capsys):

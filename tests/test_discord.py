@@ -14,6 +14,9 @@ from gqd.discord import (
     PauliDiagonalParams,
     QubitLimitError,
     WernerGhzParams,
+    _entropy_objective,
+    _run_starts,
+    _start_points,
     ghz_vector,
     gqd_maximally_mixed,
     gqd_numeric,
@@ -28,8 +31,10 @@ from gqd.discord import (
 )
 from gqd.measurement import LocalMeasurement, measurement_objective
 from gqd.qcore import (
+    BlochVector,
     DensityMatrix,
     maximally_mixed,
+    mutual_information,
     pauli_string,
     random_density_matrix,
     random_unitary,
@@ -352,6 +357,115 @@ class TestNumericOptimizer:
             num = gqd_numeric(rho).value
             assert z_obj <= num + 1e-6
             assert abs(z_obj - gqd_werner_ghz(WernerGhzParams(n, mu))) <= 1e-9
+
+
+def central_difference(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    return np.array(
+        [(fun(x + h * e)[0] - fun(x - h * e)[0]) / (2 * h) for e in np.eye(x.size)]
+    )
+
+
+class TestObjectiveGradient:
+    """The analytic gradient in the stacked vectors v_j against central differences."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_central_differences(self, n):
+        rng = np.random.default_rng(RNG_SEED + n)
+        rho = random_density_matrix(n, rng)
+        # The three axis starts, the south pole on every qubit, and an
+        # unnormalized random point with both signs of z.
+        points = _start_points(n, OptimizerOptions(starts=3))
+        points += [-points[0], rng.normal(size=3 * n)]
+        for marginal in (True, False):
+            fun = _entropy_objective(rho.matrix, marginal)
+            for x in points:
+                _, grad = fun(x)
+                assert np.max(np.abs(grad - central_difference(fun, x))) <= 1e-6
+
+    def test_value_is_the_objective_less_mutual_information(self):
+        rng = np.random.default_rng(RNG_SEED)
+        rho = random_density_matrix(3, rng)
+        fun = _entropy_objective(rho.matrix, marginal=True)
+        x = rng.normal(size=9)
+        v = x.reshape(3, 3) / np.linalg.norm(x.reshape(3, 3), axis=1)[:, None]
+        m = LocalMeasurement(tuple(BlochVector(*map(float, row)) for row in v))
+        want = measurement_objective(rho, m) - mutual_information(rho)
+        assert abs(fun(x)[0] - want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_finite_on_pure_ghz_where_outcomes_vanish(self, n):
+        rho = DensityMatrix(np.outer(ghz_vector(n), ghz_vector(n).conj()))
+        rng = np.random.default_rng(RNG_SEED)
+        points = _start_points(n, OptimizerOptions(starts=3))
+        points.append(rng.normal(size=3 * n))
+        for marginal in (True, False):
+            fun = _entropy_objective(rho.matrix, marginal)
+            for x in points:
+                value, grad = fun(x)
+                assert math.isfinite(value)
+                assert np.all(np.isfinite(grad))
+                assert np.max(np.abs(grad - central_difference(fun, x))) <= 1e-6
+
+
+class TestResultCertificate:
+    def test_converged_solve_is_stationary(self):
+        rng = np.random.default_rng(RNG_SEED)
+        for n in (2, 3):
+            res = gqd_numeric(random_density_matrix(n, rng))
+            assert res.diagnostics.converged
+            assert res.diagnostics.grad_norm <= 1e-6
+            assert 1 <= res.diagnostics.starts_agreeing <= res.diagnostics.starts
+
+    def test_rotated_ghz_mixtures_converge(self):
+        # Seeded draws whose winning start reaches the objective's rounding
+        # floor; with a gradient tolerance below that floor it ends in a
+        # failed line search and is reported as not converged.
+        rng = np.random.default_rng(RNG_SEED)
+        for k in range(528):
+            params = WernerGhzParams(2, float(rng.uniform(0.0, 1.0)))
+            u = tensor_product(random_unitary(2, rng), random_unitary(2, rng))
+            if k not in (74, 319, 479, 527):
+                continue
+            m = u @ werner_ghz_state(params).matrix @ u.conj().T
+            rho = DensityMatrix((m + m.conj().T) / 2)
+            res = gqd_numeric(rho, OptimizerOptions(seed=k))
+            assert res.diagnostics.converged, k
+            assert res.diagnostics.grad_norm <= 1e-6, k
+            assert abs(res.value - gqd_werner_ghz(params)) <= 1e-9, k
+
+    def test_every_start_agrees_on_a_product_state(self):
+        # I(rho) = 0 and every measurement keeps the product form, so the
+        # objective is flat at zero.
+        rng = np.random.default_rng(RNG_SEED)
+        a = random_density_matrix(1, rng)
+        b = random_density_matrix(1, rng)
+        res = gqd_numeric(DensityMatrix(np.kron(a.matrix, b.matrix)))
+        assert res.diagnostics.starts_agreeing == res.diagnostics.starts == 16
+
+    def test_counts_starts_within_tolerance_of_the_best(self):
+        # Two wells in the first coordinate, 0.2 apart at the bottom; the
+        # other coordinates are quadratic.
+        def fun(x):
+            value = (x[0] ** 2 - 1.0) ** 2 + 0.1 * x[0] + x[1] ** 2 + x[2] ** 2
+            grad = np.array([4.0 * x[0] * (x[0] ** 2 - 1.0) + 0.1, 2 * x[1], 2 * x[2]])
+            return value, grad
+
+        points = [np.array([s, 0.3, -0.2]) for s in (1.1, -1.2, 0.9, -0.8, -1.0)]
+        best, diag = _run_starts(fun, points, OptimizerOptions(), offset=0.5)
+        assert diag.starts_agreeing == 3
+        assert best.x[0] < 0.0
+        assert diag.raw_value == 0.5 + best.fun
+        assert diag.grad_norm <= 1e-6
+
+    def test_short_circuit_reports_zero(self):
+        rho = maximally_mixed(2)
+        for res in (gqd_numeric(rho), gqd_maximally_mixed(rho)):
+            assert res.diagnostics.starts_agreeing == 0
+            assert res.diagnostics.grad_norm == 0.0
+
+    def test_unknown_option_is_rejected(self):
+        with pytest.raises(TypeError):
+            OptimizerOptions(x_tol=1e-5)
 
 
 class TestMixedMarginalShortcut:

@@ -105,6 +105,25 @@ class TestMeasuredDistributionKernel:
             assert np.max(np.abs(got - want)) <= 1e-12, name
 
     @pytest.mark.parametrize("n", range(2, 9))
+    def test_coherences_match_kronecker_reference(self, n):
+        # c[j, y] is the (0_j, 1_j) entry of V rho V^dagger with every other
+        # outcome equal to y, read in qubit order.
+        rng = np.random.default_rng(RNG_SEED + 200 + n)
+        rho = random_density_matrix(n, rng).matrix
+        for name, angles in angle_cases(n, rng).items():
+            unitaries = _angles_to_unitaries(angles[0::2], angles[1::2])
+            v = kron_all(list(unitaries))
+            sigma = (v @ rho @ v.conj().T).reshape((2,) * (2 * n))
+            q, c = _measured_distribution(rho, unitaries, coherences=True)
+            assert np.max(np.abs(q - np.diag(v @ rho @ v.conj().T))) <= 1e-12, name
+            for j in range(n):
+                want = np.array([
+                    sigma[y[:j] + (0,) + y[j:] + y[:j] + (1,) + y[j:]]
+                    for y in itertools.product((0, 1), repeat=n - 1)
+                ])
+                assert np.max(np.abs(c[j] - want)) <= 1e-12, (name, j)
+
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_pinch_matrix_matches_kronecker_reference(self, n):
         rng = np.random.default_rng(RNG_SEED + 100 + n)
         d = 2**n
@@ -331,3 +350,24 @@ class TestObjectives:
         rng = np.random.default_rng(RNG_SEED)
         m = random_measurement(3, rng)
         assert abs(measurement_objective(maximally_mixed(3), m)) <= 1e-12
+
+
+class TestPublicSurface:
+    def test_lemma_helpers_stay_in_their_modules(self):
+        import gqd
+        import gqd.measurement
+        import gqd.qcore
+
+        helpers = {
+            "bloch_rotation": gqd.qcore,
+            "majorizes": gqd.qcore,
+            "diagonal_pinch": gqd.qcore,
+            "projectors": gqd.measurement,
+            "rotation_to_z": gqd.measurement,
+        }
+        for name, module in helpers.items():
+            assert name not in gqd.__all__
+            assert not hasattr(gqd, name), name
+            assert callable(getattr(module, name))
+        for name in gqd.__all__:
+            assert hasattr(gqd, name), name
