@@ -20,8 +20,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .lbfgs import StackedResult, minimize_stacked
 from .measurement import (
     LocalMeasurement,
     _measured_distribution,
@@ -34,7 +34,9 @@ from .qcore import (
     BlochVector,
     DensityMatrix,
     Spectrum,
+    _TINY,
     _entropy_bits,
+    _xlog2,
     binary_entropy,
     mutual_information,
     partial_trace,
@@ -221,10 +223,6 @@ def werner_ghz_state(params: WernerGhzParams) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def _xlog2(t: float) -> float:
-    return 0.0 if t <= 0.0 else t * math.log2(t)
-
-
 def gqd_werner_ghz(params: WernerGhzParams) -> float:
     """Closed-form global quantum discord of the GHZ-noise mixture, in bits.
 
@@ -307,14 +305,17 @@ def gqd_pauli_diagonal(params: PauliDiagonalParams) -> float:
 class OptimizerOptions:
     """Knobs for the numeric minimization.
 
-    Each start is refined by L-BFGS-B on one unconstrained 3-vector per
-    qubit. ``starts`` defaults to ``8 * n_qubits``: the three fixed axis
-    starts (z, x, y on every qubit) plus seeded random directions.
-    ``max_evals_per_start`` caps the value-and-gradient evaluations of one
-    start (L-BFGS-B ``maxfun``), and ``f_tol`` is its relative-decrease
-    stopping tolerance (``ftol``). ``threads`` overrides the ``GQD_THREADS``
-    environment variable; 0 means one thread per CPU, capped by the number
-    of starts.
+    All starts are refined by one stacked L-BFGS (:mod:`gqd.lbfgs`) on one
+    unconstrained 3-vector per qubit; each start keeps its own memory, line
+    search and stopping tests. ``starts`` defaults to ``8 * n_qubits``: the
+    three fixed axis starts (z, x, y on every qubit) plus seeded random
+    directions. ``max_evals_per_start`` caps the value-and-gradient
+    evaluations of one start (L-BFGS-B ``maxfun``: checked when an
+    iteration ends), and ``f_tol`` is its relative-decrease stopping
+    tolerance (L-BFGS-B ``ftol``). ``threads`` splits the stack of starts
+    into that many contiguous chunks run on a thread pool, overriding the
+    ``GQD_THREADS`` environment variable; 0 means one thread per CPU,
+    capped by the number of starts. The result does not depend on it.
     """
 
     seed: int = 0
@@ -376,17 +377,21 @@ def _resolve_threads(requested: int | None, n_tasks: int) -> int:
     return max(1, min(requested, n_tasks))
 
 
-# L-BFGS-B also stops once every gradient component is below this. Much
+# A start also stops once every gradient component is below this. Much
 # lower is not attainable: near a minimum a gradient g buys a decrease of
 # about g^2 / curvature, which drops under the objective's rounding below
 # g ~ 1e-8, and the line search then fails instead of converging.
 _GRAD_TOL = 1e-7
 # Starts whose final values lie this close to the best count as agreeing.
 _AGREE_TOL = 1e-6
-# Floor on probabilities inside log2; a zero q_x has zero coherences.
-_TINY = 1e-300
-# Column b is sigma_b^T flattened, so that (a b^T).ravel() @ _PAULI_TRACE
-# gives tr(sigma_b a b^T) for b = x, y, z.
+# Most density-matrix entries one kernel call may hold across its stack, so
+# that memory is bounded by N alone. 2^15 complex entries (512 KiB) keep a
+# call's working set in a 2 MiB L2 cache; larger stacks spill it. Per start,
+# a stack of four cost 1.3x a single start at N = 7, and a stack of three
+# 1.4x at N = 8, while stacks at N <= 6 cost less per start than one.
+_KERNEL_ENTRIES = 2**15
+# Column b is sigma_b^T flattened, so that a.ravel() @ _PAULI_TRACE gives
+# tr(sigma_b a) for b = x, y, z.
 _PAULI_TRACE = np.stack([p.T.ravel() for p in (PAULI_X, PAULI_Y, PAULI_Z)], axis=1)
 
 _AXIS_VECTORS = {"z": (0.0, 0.0, 1.0), "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}
@@ -415,11 +420,11 @@ def _start_points(n: int, opts: OptimizerOptions) -> list[np.ndarray]:
 
 
 def _entropy_objective(rho_mat: np.ndarray, marginal: bool):
-    """Value and gradient of ``H(q) - sum_j H(q_j)`` over stacked vectors.
+    """Values and gradients of ``H(q) - sum_j H(q_j)`` over a stack of points.
 
-    ``x = [v_0, v_1, ...]`` measures qubit j along ``n_j = v_j / |v_j|``; q
-    is the measured distribution and q_j qubit j's measured marginal. With
-    ``marginal=False`` the marginal term is left out.
+    Each row ``x = [v_0, v_1, ...]`` measures qubit j along
+    ``n_j = v_j / |v_j|``; q is the measured distribution and q_j qubit j's
+    measured marginal. With ``marginal=False`` the marginal term is left out.
 
     Turning n_j along the tangent frame vector ``t_x`` (``t_y``) of its
     unitary moves ``q_(y,0_j)`` by ``Re c_j(y)`` (``-Im c_j(y)``) and
@@ -429,35 +434,52 @@ def _entropy_objective(rho_mat: np.ndarray, marginal: bool):
     ``-Re s_j t_x + Im s_j t_y = -Re(s_j (t_x + i t_y))``. The marginal term
     subtracts ``log2(q_j0 / q_j1)`` from every ``L_j(y)``. The gradient in
     ``v_j`` is the tangent gradient divided by ``|v_j|``.
+
+    The stack is cut into calls of at most ``_KERNEL_ENTRIES`` matrix
+    entries, which bounds memory by N alone; every operation is row-wise,
+    so the cut does not change a row's result.
     """
     n = int(rho_mat.shape[0]).bit_length() - 1
-    # idx_x[j, y]: position in q of the outcome with qubit j at x and the
+    # idx[x, j, y]: position in q of the outcome with qubit j at x and the
     # other qubits at y, in the order of the kernel's c_j(y).
     cube = np.arange(2**n).reshape((2,) * n)
-    idx0, idx1 = (
-        np.array([np.take(cube, x, j).ravel() for j in range(n)]) for x in (0, 1)
-    )
+    idx = np.array([[np.take(cube, x, j).ravel() for j in range(n)] for x in (0, 1)])
 
-    def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        v = x.reshape(n, 3)
+    def value_and_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v = x.reshape(len(x), n, 3)
         # n_j and -n_j are one measurement with its outcomes swapped: measure
         # along the one with z >= 0 and flip the gradient back.
-        scale = np.where(v[:, 2] < 0.0, -1.0, 1.0) / np.sqrt((v * v).sum(axis=1))
-        unitaries = _upper_unitaries(v * scale[:, None])
+        scale = np.where(v[..., 2] < 0.0, -1.0, 1.0) / np.sqrt((v * v).sum(axis=-1))
+        unitaries = _upper_unitaries(v * scale[..., None])
         q, c = _measured_distribution(rho_mat, unitaries, coherences=True)
         q = q.real
         value = _entropy_bits(q)
-        log_q = np.log2(np.maximum(q, _TINY))
-        ratio = log_q[idx0] - log_q[idx1]
+        # np.take keeps each row contiguous, and so each row's sums in one
+        # order whatever the stack; q[:, idx] does not.
+        log_q = np.take(np.log2(np.maximum(q, _TINY)), idx, axis=1)
+        ratio = log_q[:, 0] - log_q[:, 1]
         if marginal:
-            p0, p1 = q[idx0].sum(axis=1), q[idx1].sum(axis=1)
-            value -= _entropy_bits(np.concatenate([p0, p1]))
-            ratio -= np.log2(np.maximum(p0, _TINY) / np.maximum(p1, _TINY))[:, None]
-        s = (ratio * c).sum(axis=1)
-        # t_x + i t_y is the Bloch vector of u_j^dagger |0><1| u_j.
-        flip = unitaries[:, 0, :, None].conj() * unitaries[:, 1, None, :]
-        frame = flip.reshape(n, 4) @ _PAULI_TRACE
-        return value, (-(s[:, None] * frame).real * scale[:, None]).ravel()
+            p = np.take(q, idx, axis=1).sum(axis=-1)
+            value -= _entropy_bits(p.reshape(len(x), 2 * n))
+            log_p = np.log2(np.maximum(p, _TINY))
+            ratio -= (log_p[:, 0] - log_p[:, 1])[..., None]
+        s = (ratio * c).sum(axis=-1)
+        # t_x + i t_y is the Bloch vector of a = u_j^dagger |0><1| u_j, whose
+        # entries are a_kl = conj(u_0k) u_1l.
+        a = unitaries[..., 0, :, None].conj() * unitaries[..., 1, None, :]
+        grad = (s[..., None] * (a.reshape(len(x), n, 4) @ _PAULI_TRACE)).real
+        return value, (grad * -scale[..., None]).reshape(len(x), 3 * n)
+
+    rows_per_call = max(1, _KERNEL_ENTRIES >> (2 * n))
+
+    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(x) <= rows_per_call:
+            return value_and_grad(x)
+        parts = [
+            value_and_grad(x[i : i + rows_per_call])
+            for i in range(0, len(x), rows_per_call)
+        ]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
     return fun
 
@@ -472,47 +494,43 @@ def _measurement_from(x: np.ndarray) -> LocalMeasurement:
 def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
     """Minimize from every start; reduce deterministically by (value, index).
 
-    The diagnostics' ``raw_value`` is ``offset`` plus the best value.
+    The starts run as one stacked L-BFGS, split into ``threads`` contiguous
+    chunks on a thread pool when more than one thread is asked for. Returns
+    the per-start result, the index of the best start and the diagnostics,
+    whose ``raw_value`` is ``offset`` plus the best value.
     """
 
     def run(x0):
-        return minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxfun": opts.max_evals_per_start,
-                "ftol": opts.f_tol,
-                "gtol": _GRAD_TOL,
-            },
-        )
+        return minimize_stacked(fun, x0, opts.max_evals_per_start, opts.f_tol, _GRAD_TOL)
 
-    n_threads = _resolve_threads(opts.threads, len(points))
+    stack = np.array(points, dtype=float)
+    n_threads = _resolve_threads(opts.threads, len(stack))
     if n_threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run, points))
+            chunks = list(pool.map(run, np.array_split(stack, n_threads)))
+        res = StackedResult(
+            *(np.concatenate([getattr(c, f) for c in chunks]) for f in StackedResult.__dataclass_fields__)
+        )
     else:
-        results = [run(x0) for x0 in points]
+        res = run(stack)
 
-    values = np.array([r.fun for r in results])
-    best = results[int(np.argmin(values))]
+    best = int(np.argmin(res.fun))
     # The tangent gradient is |v_j| times the gradient in v_j.
-    v, jac = best.x.reshape(-1, 3), best.jac.reshape(-1, 3)
+    v, jac = res.x[best].reshape(-1, 3), res.jac[best].reshape(-1, 3)
     grad_norm = np.sqrt((v * v).sum(axis=1) * (jac * jac).sum(axis=1)).max()
     diag = OptimizerDiagnostics(
-        starts=len(points),
-        iterations=int(sum(r.nit for r in results)),
-        evaluations=int(sum(r.nfev for r in results)),
-        starts_agreeing=int(np.sum(values <= best.fun + _AGREE_TOL)),
+        starts=len(stack),
+        iterations=int(res.nit.sum()),
+        evaluations=int(res.nfev.sum()),
+        starts_agreeing=int(np.sum(res.fun <= res.fun[best] + _AGREE_TOL)),
         grad_norm=float(grad_norm),
         seed=opts.seed,
-        raw_value=offset + float(best.fun),
-        converged=bool(best.success),
+        raw_value=offset + float(res.fun[best]),
+        converged=bool(res.converged[best]),
     )
-    return best, diag
+    return res, best, diag
 
 
 def _is_maximally_mixed(rho: DensityMatrix) -> bool:
@@ -552,10 +570,10 @@ def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> Gqd
     """Global quantum discord by multi-start minimization over measurements.
 
     Parameterizes qubit j's direction by an unconstrained 3-vector ``v_j``
-    (measured along ``v_j / |v_j|``, which has no poles) and refines every
-    start with L-BFGS-B. Each evaluation returns the objective and its exact
-    gradient from one O(4^N) contraction. Deterministic for a fixed
-    ``opts.seed`` regardless of how the starts are scheduled.
+    (measured along ``v_j / |v_j|``, which has no poles) and refines all
+    starts with one stacked L-BFGS. Each evaluation returns the objective
+    and its exact gradient from one O(4^N) contraction. Deterministic for a
+    fixed ``opts.seed`` regardless of how the starts are scheduled.
     """
     opts = opts or OptimizerOptions()
     _check_numeric_size(rho, opts)
@@ -564,13 +582,13 @@ def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> Gqd
         return _short_circuit_result(n, opts, "numeric")
 
     fun = _entropy_objective(rho.matrix, marginal=True)
-    best, diag = _run_starts(
+    res, best, diag = _run_starts(
         fun, _start_points(n, opts), opts, offset=mutual_information(rho)
     )
     return GqdResult(
         value=max(diag.raw_value, 0.0),
         method="numeric",
-        optimal_measurement=_measurement_from(best.x),
+        optimal_measurement=_measurement_from(res.x[best]),
         diagnostics=diag,
     )
 
@@ -598,12 +616,12 @@ def gqd_maximally_mixed(
         return _short_circuit_result(n, opts, "maximally_mixed")
 
     fun = _entropy_objective(rho.matrix, marginal=False)
-    best, diag = _run_starts(
+    res, best, diag = _run_starts(
         fun, _start_points(n, opts), opts, offset=-von_neumann_entropy(rho)
     )
     return GqdResult(
         value=max(diag.raw_value, 0.0),
         method="maximally_mixed",
-        optimal_measurement=_measurement_from(best.x),
+        optimal_measurement=_measurement_from(res.x[best]),
         diagnostics=diag,
     )

@@ -119,10 +119,10 @@ def rotation_to_z(direction: BlochVector) -> np.ndarray:
 def _unitaries(c: np.ndarray, es: np.ndarray) -> np.ndarray:
     """Stack of ``[[c, es], [-conj(es), c]]``, the ``rotation_to_z`` unitaries
     for ``c = cos(theta / 2)`` and ``es = exp(-i phi) sin(theta / 2)``."""
-    u = np.empty((c.size, 2, 2), dtype=np.complex128)
-    u[:, 0, 0] = u[:, 1, 1] = c
-    u[:, 0, 1] = es
-    u[:, 1, 0] = -es.conj()
+    u = np.empty(c.shape + (2, 2), dtype=np.complex128)
+    u[..., 0, 0] = u[..., 1, 1] = c
+    u[..., 0, 1] = es
+    u[..., 1, 0] = -es.conj()
     return u
 
 
@@ -132,28 +132,31 @@ def _angles_to_unitaries(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _upper_unitaries(axes: np.ndarray) -> np.ndarray:
-    """Stack of the ``rotation_to_z`` unitaries for unit axes with ``z >= 0``.
+    """The ``rotation_to_z`` unitaries of unit axes ``(..., 3)`` with ``z >= 0``.
 
     Without trigonometry: ``cos(theta / 2) = sqrt((1 + z) / 2)``, which is at
     least ``1 / sqrt(2)`` on the upper hemisphere, and
     ``exp(-i phi) sin(theta / 2) = (x - i y) / (2 cos(theta / 2))``.
     """
-    c = np.sqrt((1.0 + axes[:, 2]) / 2.0)
-    return _unitaries(c, (axes[:, 0] - 1j * axes[:, 1]) / (2.0 * c))
+    c = np.sqrt((1.0 + axes[..., 2]) / 2.0)
+    return _unitaries(c, (axes[..., 0] - 1j * axes[..., 1]) / (2.0 * c))
 
 
 def _measured_distribution(
     mat: np.ndarray, unitaries: np.ndarray, coherences: bool = False
 ):
-    """Diagonal of ``V mat V^dagger`` for ``V = u_0 x u_1 x ... x u_{n-1}``.
+    """Diagonal of ``V mat V^dagger`` for a stack of ``V = u_0 x ... x u_{n-1}``.
 
-    Contracts one qubit at a time: ``u_j`` acts on row leg j, ``conj(u_j)``
-    on column leg j, and only that leg's diagonal is kept. The outcome axis
-    doubles while both remaining legs halve, so the work is O(4^N) and no
-    2^N x 2^N unitary is built. Entries are complex; they are the outcome
-    probabilities ``q`` when ``mat`` is a density matrix.
+    ``unitaries[s, j]`` is qubit j's ``u_j`` in stack entry s; the result has
+    one row per entry. Contracts one qubit at a time: ``u_j`` acts on row leg
+    j, ``conj(u_j)`` on column leg j, and only that leg's diagonal is kept.
+    The outcome axis doubles while both remaining legs halve, so the work is
+    O(4^N) per entry and no 2^N x 2^N unitary is built. Entries are complex;
+    they are the outcome probabilities ``q`` when ``mat`` is a density
+    matrix. Every product is taken per stack entry, so an entry's result
+    does not depend on the others.
 
-    With ``coherences``, returns ``(q, c)``. ``c[j, y]`` is the entry of
+    With ``coherences``, returns ``(q, c)``. ``c[s, j, y]`` is the entry of
     ``V mat V^dagger`` between outcome 0 and outcome 1 of qubit j, with the
     other qubits' outcomes ``y`` (in qubit order) equal on both sides: the
     first-order change of ``q`` when qubit j's direction turns. At leg j
@@ -161,27 +164,42 @@ def _measured_distribution(
     as extra outcome rows through the remaining legs, which about doubles
     the work.
     """
-    # t[outcome rows, remaining row legs, remaining column legs]; the first
-    # `main` outcome rows are the distribution, the rest are coherences.
-    t = mat.reshape(1, *mat.shape)
+    n_stack, n = unitaries.shape[:2]
+    # t[stack, outcome rows, remaining row legs, remaining column legs]; the
+    # first `main` outcome rows are the distribution, the rest coherences.
+    t = mat.reshape(1, 1, *mat.shape)
     main = 1
-    # w[x] is row x of conj(u_j) as a 2x1 column, so the second matmul
+    # w[s, x] is row x of conj(u_j) as a 2x1 column, so the second matmul
     # contracts column leg j of outcome x with conj(u_j)[x] only.
-    conj_rows = unitaries.conj()[:, :, None, :, None]
-    for u, w in zip(unitaries, conj_rows):
-        b, r = t.shape[0], t.shape[1] // 2
-        rows = (u @ t.reshape(b, 2, 2 * r * r)).reshape(b, 2, r, 2, r)
-        rows = rows.transpose(0, 1, 2, 4, 3)
-        t = np.empty((2 * b + (main if coherences else 0), r, r), dtype=rows.dtype)
-        np.matmul(rows, w, out=t[: 2 * b].reshape(b, 2, r, r, 1))
+    conj_rows = unitaries.conj()[:, :, None, :, None, :, None]
+    for j in range(n):
+        w = conj_rows[:, j]
+        b, r = t.shape[1], t.shape[2] // 2
+        k = 2 * r * r
+        if b > r:
+            # Many outcome rows over short legs: move row leg j in front of
+            # the outcome rows, so one matmul per stack entry replaces one
+            # per outcome row.
+            legs = t.reshape(-1, b, 2, k).transpose(0, 2, 1, 3).reshape(-1, 2, b * k)
+            rows = (unitaries[:, j] @ legs).reshape(n_stack, 2, b, k).transpose(0, 2, 1, 3)
+        else:
+            rows = unitaries[:, j, None] @ t.reshape(-1, b, 2, k)
+        rows = rows.reshape(n_stack, b, 2, r, 2, r).transpose(0, 1, 2, 3, 5, 4)
+        extra = main if coherences else 0
+        t = np.empty((n_stack, 2 * b + extra, r, r), dtype=rows.dtype)
+        np.matmul(rows, w, out=t[:, : 2 * b].reshape(n_stack, b, 2, r, r, 1))
         if coherences:
             # Row 0 of qubit j against column 1, for the distribution's rows.
-            np.matmul(rows[:main, 0], w[1], out=t[2 * b :].reshape(main, r, r, 1))
+            np.matmul(
+                rows[:, :main, 0],
+                w[:, :, 1],
+                out=t[:, 2 * b :].reshape(n_stack, main, r, r, 1),
+            )
             main *= 2
-    out = t.reshape(-1)
+    out = t.reshape(n_stack, -1)
     if not coherences:
         return out
-    return out[:main], out[main:].reshape(len(unitaries), main // 2)
+    return out[:, :main], out[:, main:].reshape(n_stack, n, main // 2)
 
 
 def pinch_matrix(mat, directions) -> np.ndarray:
@@ -201,7 +219,7 @@ def pinch_matrix(mat, directions) -> np.ndarray:
             f"matrix shape {a.shape} does not match {n} measurement directions"
         )
     unitaries = np.stack([rotation_to_z(dd) for dd in directions])
-    t = _measured_distribution(a, unitaries).reshape(d, 1, 1)
+    t = _measured_distribution(a, unitaries[None])[0].reshape(d, 1, 1)
     for u in unitaries[::-1]:
         b, r = t.shape[0] // 2, t.shape[1]
         proj = u.conj()[:, :, None] * u[:, None, :]
@@ -256,13 +274,13 @@ def measurement_objective(rho: DensityMatrix, m: LocalMeasurement) -> float:
     _check_covers(rho, m)
     n = m.n_qubits
     unitaries = np.stack([rotation_to_z(d) for d in m.directions])
-    q = _measured_distribution(rho.matrix, unitaries).real
+    q = _measured_distribution(rho.matrix, unitaries[None])[0].real
     cube = q.reshape((2,) * n)
     marginals = sum(
         _entropy_bits(cube.sum(axis=tuple(k for k in range(n) if k != j)))
         for j in range(n)
     )
-    return mutual_information(rho) - (marginals - _entropy_bits(q))
+    return mutual_information(rho) - float(marginals - _entropy_bits(q))
 
 
 def relative_entropy_objective(rho: DensityMatrix, m: LocalMeasurement) -> float:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -57,8 +56,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
-
-_LN2 = math.log(2.0)
+# Floor on weights inside log2, far below any weight that moves an entropy.
+_TINY = 1e-300
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -276,17 +275,37 @@ def shannon_entropy(weights) -> float:
         raise ValueError(
             f"probability vector has entry {float(w.min())!r} below -{PSD_TOL:.1e}"
         )
-    return _entropy_bits(w)
+    return float(_entropy_bits(w))
 
 
-def _entropy_bits(weights: np.ndarray) -> float:
-    """Entropy in bits of nonnegative weights, rounding-level negatives as 0."""
-    return float(entr(np.maximum(weights, 0.0)).sum() / _LN2)
+def _entropy_bits(weights: np.ndarray) -> np.ndarray:
+    """Entropy in bits along the last axis of nonnegative weights.
+
+    Rounding-level negatives count as 0, and ``0 log2 0 = 0``. Rows are
+    reduced one by one, as the stacked objective needs.
+    """
+    w = np.maximum(weights, 0.0)
+    # A zero weight meets a finite log and contributes 0; 0.0 - sum keeps an
+    # entropy of zero from printing as -0.0.
+    return 0.0 - (w * np.log2(np.maximum(w, _TINY))).sum(axis=-1)
+
+
+def _xlog2(t: float) -> float:
+    return 0.0 if t <= 0.0 else t * math.log2(t)
 
 
 def binary_entropy(p: float) -> float:
-    """Entropy in bits of the distribution ``(p, 1 - p)``."""
-    return shannon_entropy([p, 1.0 - p])
+    """Entropy in bits of the distribution ``(p, 1 - p)``.
+
+    Like :func:`shannon_entropy`, clips entries in ``[-1e-9, 0)`` to zero and
+    raises on anything lower.
+    """
+    low = min(p, 1.0 - p)
+    if low < -PSD_TOL:
+        raise ValueError(
+            f"probability vector has entry {float(low)!r} below -{PSD_TOL:.1e}"
+        )
+    return 0.0 - _xlog2(p) - _xlog2(1.0 - p)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -385,3 +385,32 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out_path.read_text(encoding="utf-8").startswith("mu,n,gqd_bits")
+
+
+class TestImportFootprint:
+    def test_import_loads_no_scipy(self):
+        # The package and its CLI run on NumPy alone; SciPy is only a test
+        # reference. Checked in a fresh interpreter, whose module table holds
+        # only what the imports pull in.
+        env = dict(os.environ)
+        package_root = str(Path(gqd.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, gqd, gqd.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_scipy_is_not_a_runtime_dependency(self):
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10: tomllib is stdlib from 3.11
+            tomllib = pytest.importorskip("tomli")
+        with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
+            project = tomllib.load(fh)["project"]
+        names = [d.split(">")[0].split("=")[0].strip() for d in project["dependencies"]]
+        assert "numpy" in names and "scipy" not in names

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gqd import discord
 from gqd.checks import random_valid_pauli_params
 from gqd.discord import (
     GqdResult,
@@ -14,6 +15,7 @@ from gqd.discord import (
     PauliDiagonalParams,
     QubitLimitError,
     WernerGhzParams,
+    _GRAD_TOL,
     _entropy_objective,
     _run_starts,
     _start_points,
@@ -359,6 +361,16 @@ class TestNumericOptimizer:
             assert abs(z_obj - gqd_werner_ghz(WernerGhzParams(n, mu))) <= 1e-9
 
 
+def single(fun):
+    """A stacked ``fun(X) -> (f, G)`` as a function of one point."""
+
+    def at(x):
+        f, g = fun(np.asarray(x, dtype=float)[None])
+        return f[0], g[0]
+
+    return at
+
+
 def central_difference(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return np.array(
         [(fun(x + h * e)[0] - fun(x - h * e)[0]) / (2 * h) for e in np.eye(x.size)]
@@ -377,7 +389,7 @@ class TestObjectiveGradient:
         points = _start_points(n, OptimizerOptions(starts=3))
         points += [-points[0], rng.normal(size=3 * n)]
         for marginal in (True, False):
-            fun = _entropy_objective(rho.matrix, marginal)
+            fun = single(_entropy_objective(rho.matrix, marginal))
             for x in points:
                 _, grad = fun(x)
                 assert np.max(np.abs(grad - central_difference(fun, x))) <= 1e-6
@@ -385,7 +397,7 @@ class TestObjectiveGradient:
     def test_value_is_the_objective_less_mutual_information(self):
         rng = np.random.default_rng(RNG_SEED)
         rho = random_density_matrix(3, rng)
-        fun = _entropy_objective(rho.matrix, marginal=True)
+        fun = single(_entropy_objective(rho.matrix, marginal=True))
         x = rng.normal(size=9)
         v = x.reshape(3, 3) / np.linalg.norm(x.reshape(3, 3), axis=1)[:, None]
         m = LocalMeasurement(tuple(BlochVector(*map(float, row)) for row in v))
@@ -399,7 +411,7 @@ class TestObjectiveGradient:
         points = _start_points(n, OptimizerOptions(starts=3))
         points.append(rng.normal(size=3 * n))
         for marginal in (True, False):
-            fun = _entropy_objective(rho.matrix, marginal)
+            fun = single(_entropy_objective(rho.matrix, marginal))
             for x in points:
                 value, grad = fun(x)
                 assert math.isfinite(value)
@@ -446,15 +458,16 @@ class TestResultCertificate:
         # Two wells in the first coordinate, 0.2 apart at the bottom; the
         # other coordinates are quadratic.
         def fun(x):
-            value = (x[0] ** 2 - 1.0) ** 2 + 0.1 * x[0] + x[1] ** 2 + x[2] ** 2
-            grad = np.array([4.0 * x[0] * (x[0] ** 2 - 1.0) + 0.1, 2 * x[1], 2 * x[2]])
+            a, b, c = x.T
+            value = (a**2 - 1.0) ** 2 + 0.1 * a + b**2 + c**2
+            grad = np.stack([4.0 * a * (a**2 - 1.0) + 0.1, 2 * b, 2 * c], axis=1)
             return value, grad
 
         points = [np.array([s, 0.3, -0.2]) for s in (1.1, -1.2, 0.9, -0.8, -1.0)]
-        best, diag = _run_starts(fun, points, OptimizerOptions(), offset=0.5)
+        res, best, diag = _run_starts(fun, points, OptimizerOptions(), offset=0.5)
         assert diag.starts_agreeing == 3
-        assert best.x[0] < 0.0
-        assert diag.raw_value == 0.5 + best.fun
+        assert res.x[best, 0] < 0.0
+        assert diag.raw_value == 0.5 + res.fun[best]
         assert diag.grad_norm <= 1e-6
 
     def test_short_circuit_reports_zero(self):
@@ -466,6 +479,115 @@ class TestResultCertificate:
     def test_unknown_option_is_rejected(self):
         with pytest.raises(TypeError):
             OptimizerOptions(x_tol=1e-5)
+
+
+def rotated_family_state(n: int, rng: np.random.Generator) -> DensityMatrix:
+    """A GHZ-noise or Pauli-diagonal state under a random local unitary."""
+    if rng.integers(2):
+        rho = werner_ghz_state(WernerGhzParams(n, float(rng.uniform(0.0, 1.0))))
+    else:
+        rho = pauli_diagonal_state(random_valid_pauli_params(n, rng))
+    u = random_unitary(2, rng)
+    for _ in range(n - 1):
+        u = np.kron(u, random_unitary(2, rng))
+    m = u @ rho.matrix @ u.conj().T
+    return DensityMatrix((m + m.conj().T) / 2)
+
+
+def assert_same_starts(a, b):
+    for field in ("x", "fun", "jac", "nit", "nfev", "converged"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+class TestStackedStarts:
+    """All starts run as one stacked L-BFGS; each start stays its own run."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_start_is_independent_of_its_stack(self, n):
+        # Per-start results are bit-identical whether the starts run
+        # stacked, one at a time, or split over a four-thread pool.
+        rng = np.random.default_rng(RNG_SEED + 40 + n)
+        rho = random_density_matrix(n, rng)
+        fun = _entropy_objective(rho.matrix, marginal=True)
+        opts = OptimizerOptions(seed=11, threads=1)
+        points = _start_points(n, opts)
+        stacked, _, _ = _run_starts(fun, points, opts, offset=0.0)
+        pooled, _, _ = _run_starts(
+            fun, points, OptimizerOptions(seed=11, threads=4), offset=0.0
+        )
+        assert_same_starts(stacked, pooled)
+        for k, x0 in enumerate(points):
+            alone, _, _ = _run_starts(fun, [x0], opts, offset=0.0)
+            for field in ("x", "fun", "jac", "nit", "nfev", "converged"):
+                assert np.array_equal(getattr(alone, field)[0], getattr(stacked, field)[k]), (k, field)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_objective_rows_do_not_depend_on_their_stack(self, n):
+        rng = np.random.default_rng(RNG_SEED + 60 + n)
+        rho = random_density_matrix(n, rng)
+        x = np.concatenate([np.array(_start_points(n, OptimizerOptions(starts=5))),
+                            rng.normal(size=(4, 3 * n))])
+        for marginal in (True, False):
+            fun = _entropy_objective(rho.matrix, marginal)
+            values, grads = fun(x)
+            for k in range(len(x)):
+                for part in (x[k : k + 1], x[k : k + 3]):
+                    v, g = fun(part)
+                    assert v[0] == values[k] and np.array_equal(g[0], grads[k]), (k, len(part))
+
+    def test_memory_cut_leaves_results_unchanged(self, monkeypatch):
+        # At N = 8 a default call holds one start; let one call hold all of
+        # them, or two, and nothing may move.
+        n = 8
+        rng = np.random.default_rng(RNG_SEED + 8)
+        rho = random_density_matrix(n, rng)
+        opts = OptimizerOptions(seed=2, starts=5, max_evals_per_start=25)
+        points = _start_points(n, opts)
+        results = []
+        for budget in (4**n, 2 * 4**n, 2**40):
+            monkeypatch.setattr(discord, "_KERNEL_ENTRIES", budget)
+            fun = _entropy_objective(rho.matrix, marginal=True)
+            values, grads = fun(np.array(points))
+            res, _, _ = _run_starts(fun, points, opts, offset=0.0)
+            results.append((values, grads, res))
+        for values, grads, res in results[1:]:
+            assert np.array_equal(values, results[0][0])
+            assert np.array_equal(grads, results[0][1])
+            assert_same_starts(res, results[0][2])
+
+    def test_matches_scipy_lbfgsb(self):
+        # SciPy's L-BFGS-B from the same starts, with the same tolerances,
+        # as a test-only reference: the same best values and about the same
+        # number of evaluations.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(RNG_SEED + 77)
+        ours_evals = ref_evals = 0
+        for n in range(2, 7):
+            opts = OptimizerOptions(seed=n, starts=8 if n <= 3 else 4)
+            for rho in (random_density_matrix(n, rng), rotated_family_state(n, rng)):
+                fun = _entropy_objective(rho.matrix, marginal=True)
+                points = _start_points(n, opts)
+                res, best, diag = _run_starts(fun, points, opts, offset=0.0)
+                refs = [
+                    optimize.minimize(
+                        single(fun), x0, jac=True, method="L-BFGS-B",
+                        options={"maxfun": opts.max_evals_per_start,
+                                 "ftol": opts.f_tol, "gtol": _GRAD_TOL},
+                    )
+                    for x0 in points
+                ]
+                assert abs(res.fun[best] - min(r.fun for r in refs)) <= 1e-10, n
+                ours_evals += diag.evaluations
+                ref_evals += sum(r.nfev for r in refs)
+        assert abs(ours_evals - ref_evals) <= 0.1 * ref_evals, (ours_evals, ref_evals)
+
+    def test_evaluation_cap_is_not_convergence(self):
+        rng = np.random.default_rng(RNG_SEED)
+        rho = random_density_matrix(3, rng)
+        res = gqd_numeric(rho, OptimizerOptions(starts=4, max_evals_per_start=3))
+        assert not res.diagnostics.converged
+        # The cap is checked when an iteration ends, as in L-BFGS-B.
+        assert 4 * 3 < res.diagnostics.evaluations <= 4 * (3 + 20)
 
 
 class TestMixedMarginalShortcut:

@@ -101,8 +101,9 @@ class TestMeasuredDistributionKernel:
             unitaries = _angles_to_unitaries(angles[0::2], angles[1::2])
             v = kron_all(list(unitaries))
             want = np.diag(v @ rho @ v.conj().T)
-            got = _measured_distribution(rho, unitaries)
-            assert np.max(np.abs(got - want)) <= 1e-12, name
+            got = _measured_distribution(rho, unitaries[None])
+            assert got.shape == (1, 2**n)
+            assert np.max(np.abs(got[0] - want)) <= 1e-12, name
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_coherences_match_kronecker_reference(self, n):
@@ -114,14 +115,31 @@ class TestMeasuredDistributionKernel:
             unitaries = _angles_to_unitaries(angles[0::2], angles[1::2])
             v = kron_all(list(unitaries))
             sigma = (v @ rho @ v.conj().T).reshape((2,) * (2 * n))
-            q, c = _measured_distribution(rho, unitaries, coherences=True)
-            assert np.max(np.abs(q - np.diag(v @ rho @ v.conj().T))) <= 1e-12, name
+            q, c = _measured_distribution(rho, unitaries[None], coherences=True)
+            assert c.shape == (1, n, 2 ** (n - 1))
+            assert np.max(np.abs(q[0] - np.diag(v @ rho @ v.conj().T))) <= 1e-12, name
             for j in range(n):
                 want = np.array([
                     sigma[y[:j] + (0,) + y[j:] + y[:j] + (1,) + y[j:]]
                     for y in itertools.product((0, 1), repeat=n - 1)
                 ])
-                assert np.max(np.abs(c[j] - want)) <= 1e-12, (name, j)
+                assert np.max(np.abs(c[0, j] - want)) <= 1e-12, (name, j)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_stack_entries_match_single_calls_bit_for_bit(self, n):
+        # Each stack entry is contracted on its own, so an entry's result
+        # does not depend on the entries stacked with it.
+        rng = np.random.default_rng(RNG_SEED + 300 + n)
+        rho = random_density_matrix(n, rng).matrix
+        unitaries = np.stack([
+            _angles_to_unitaries(a[0::2], a[1::2]) for a in angle_cases(n, rng).values()
+        ])
+        q, c = _measured_distribution(rho, unitaries, coherences=True)
+        assert q.shape == (len(unitaries), 2**n)
+        for k, u in enumerate(unitaries):
+            q1, c1 = _measured_distribution(rho, u[None], coherences=True)
+            assert np.array_equal(q1[0], q[k]) and np.array_equal(c1[0], c[k]), k
+            assert np.array_equal(_measured_distribution(rho, u[None])[0], q[k]), k
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_pinch_matrix_matches_kronecker_reference(self, n):

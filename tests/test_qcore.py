@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqd.qcore import (
+    _entropy_bits,
     BlochVector,
     DensityMatrix,
     Spectrum,
@@ -205,6 +206,29 @@ class TestEntropies:
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
         assert math.isclose(binary_entropy(0.5), 1.0, abs_tol=1e-15)
+
+    def test_binary_entropy_matches_shannon_entropy(self):
+        # Rounding-level negatives are clipped to zero, as in shannon_entropy.
+        for p in (-1e-12, 1e-300, 1e-9, 0.1, 0.3, 0.5, 0.77, 1.0 - 1e-12, 1.0 + 1e-12):
+            assert math.isclose(binary_entropy(p), shannon_entropy([p, 1.0 - p]), abs_tol=1e-15)
+
+    def test_binary_entropy_rejects_negative(self):
+        for p in (-0.1, 1.1):
+            with pytest.raises(ValueError, match="below"):
+                binary_entropy(p)
+
+    def test_entropy_bits_reduces_each_row_on_its_own(self):
+        rng = np.random.default_rng(RNG_SEED)
+        rows = rng.dirichlet(np.ones(16), size=7)
+        rows[2, :5] = 0.0
+        rows[2] /= rows[2].sum()
+        stacked = _entropy_bits(rows)
+        assert stacked.shape == (7,)
+        for k, row in enumerate(rows):
+            assert stacked[k] == _entropy_bits(row) == _entropy_bits(rows[k : k + 1])[0]
+            assert math.isclose(stacked[k], shannon_entropy(row), abs_tol=0.0)
+            want = -sum(p * math.log2(p) for p in row if p > 0.0)
+            assert math.isclose(stacked[k], want, abs_tol=1e-14)
 
     def test_von_neumann_pure_state_zero(self):
         assert von_neumann_entropy(bell_phi_plus()) <= 1e-12
