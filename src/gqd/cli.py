@@ -11,7 +11,8 @@ Subcommands:
 * ``verify``: run the self-check suites and report margins.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 qubit limit exceeded.
+3 qubit limit exceeded. The grids of ``figure1`` and ``dephase-scan`` hold
+at most ``MAX_GRID_STEPS`` points.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .checks import SCOPES, run_checks
 from .discord import (
     GqdResult,
-    InvalidParamsError,
     OptimizerOptions,
     PauliDiagonalParams,
     QubitLimitError,
@@ -41,7 +41,7 @@ from .discord import (
     werner_ghz_state,
 )
 from .dynamics import scan_gqd_vs_p
-from .qcore import DensityMatrix, StateValidationError
+from .qcore import DensityMatrix
 
 __all__ = [
     "DocumentError",
@@ -55,6 +55,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_QUBIT_LIMIT = 3
+
+# Most points a figure1 or dephase-scan grid may hold; a larger request is
+# invalid input, rejected before the grid is allocated.
+MAX_GRID_STEPS = 10**6
 
 
 class DocumentError(ValueError):
@@ -190,6 +194,8 @@ def _result_record(result: GqdResult, seed: int, wall_time: float) -> dict:
 
 
 def cmd_compute(args) -> int:
+    # Built first so that out-of-range flags fail on the closed route too.
+    opts = _optimizer_options(args)
     doc = load_state_document(args.input)
     method = args.method
     if method == "auto":
@@ -204,7 +210,7 @@ def cmd_compute(args) -> int:
                 f"document has {doc.n_qubits} qubits, above the dense limit "
                 f"of {args.max_n}"
             )
-        result = gqd_numeric(doc.to_density_matrix(), _optimizer_options(args))
+        result = gqd_numeric(doc.to_density_matrix(), opts)
     record = _result_record(result, args.seed, time.perf_counter() - t0)
     print(json.dumps(record))
     return EXIT_OK
@@ -231,10 +237,16 @@ def _parse_n_list(text: str) -> list[object]:
     return out
 
 
+def _check_steps(flag: str, steps: int, low: int) -> None:
+    _require(
+        low <= steps <= MAX_GRID_STEPS,
+        f"{flag} must lie in [{low}, {MAX_GRID_STEPS}], got {steps}",
+    )
+
+
 def cmd_figure1(args) -> int:
     n_list = _parse_n_list(args.n_list)
-    if args.mu_steps < 2:
-        raise DocumentError(f"mu-steps must be >= 2, got {args.mu_steps}")
+    _check_steps("mu-steps", args.mu_steps, 2)
     mus = np.linspace(0.0, 1.0, args.mu_steps)
     lines = ["mu,n,gqd_bits"]
     for n in n_list:
@@ -259,8 +271,7 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def cmd_dephase_scan(args) -> int:
-    if args.p_steps < 3:
-        raise DocumentError(f"p-steps must be >= 3, got {args.p_steps}")
+    _check_steps("p-steps", args.p_steps, 3)
     params = PauliDiagonalParams(args.n, args.c1, args.c2, args.c3)
     grid = np.linspace(0.0, 1.0, args.p_steps)
     records, report = scan_gqd_vs_p(params, grid)
@@ -333,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-list", default="2,3,5,inf",
         help="comma list of qubit counts, 'inf' for the asymptote",
     )
-    p_fig.add_argument("--mu-steps", type=int, default=101, help="grid points on [0, 1]")
+    p_fig.add_argument(
+        "--mu-steps", type=int, default=101,
+        help=f"grid points on [0, 1], at most {MAX_GRID_STEPS} (default 101)",
+    )
     p_fig.add_argument("--out", required=True, help="output CSV path")
     p_fig.set_defaults(func=cmd_figure1)
 
@@ -342,7 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--c1", type=float, required=True)
     p_scan.add_argument("--c2", type=float, required=True)
     p_scan.add_argument("--c3", type=float, required=True)
-    p_scan.add_argument("--p-steps", type=int, default=101, help="grid points on [0, 1]")
+    p_scan.add_argument(
+        "--p-steps", type=int, default=101,
+        help=f"grid points on [0, 1], at most {MAX_GRID_STEPS} (default 101)",
+    )
     p_scan.add_argument("--out", required=True, help="output CSV path")
     p_scan.set_defaults(func=cmd_dephase_scan)
 
@@ -362,7 +379,7 @@ def main(argv=None) -> int:
     except QubitLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUBIT_LIMIT
-    except (DocumentError, InvalidParamsError, StateValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

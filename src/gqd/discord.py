@@ -75,7 +75,7 @@ _PARAM_TOL = 1e-12
 
 
 class InvalidParamsError(ValueError):
-    """Family parameters violate their validity constraints."""
+    """Family parameters or optimizer options violate their constraints."""
 
 
 class QubitLimitError(ValueError):
@@ -307,15 +307,18 @@ class OptimizerOptions:
 
     All starts are refined by one stacked L-BFGS (:mod:`gqd.lbfgs`) on one
     unconstrained 3-vector per qubit; each start keeps its own memory, line
-    search and stopping tests. ``starts`` defaults to ``8 * n_qubits``: the
-    three fixed axis starts (z, x, y on every qubit) plus seeded random
-    directions. ``max_evals_per_start`` caps the value-and-gradient
-    evaluations of one start (L-BFGS-B ``maxfun``: checked when an
-    iteration ends), and ``f_tol`` is its relative-decrease stopping
-    tolerance (L-BFGS-B ``ftol``). ``threads`` splits the stack of starts
-    into that many contiguous chunks run on a thread pool, overriding the
+    search and stopping tests. ``starts`` (at least 1) defaults to
+    ``8 * n_qubits``: the three fixed axis starts (z, x, y on every qubit)
+    plus seeded random directions. ``max_evals_per_start`` (at least 1)
+    caps the value-and-gradient evaluations of one start (L-BFGS-B
+    ``maxfun``: checked when an iteration ends), and ``f_tol`` (finite and
+    at least 0) is its relative-decrease stopping tolerance (L-BFGS-B
+    ``ftol``). ``threads`` (at least 0) splits the stack of starts into that
+    many contiguous chunks run on a thread pool, overriding the
     ``GQD_THREADS`` environment variable; 0 means one thread per CPU,
     capped by the number of starts. The result does not depend on it.
+    Construction raises :class:`InvalidParamsError` for a value out of
+    these ranges.
     """
 
     seed: int = 0
@@ -324,7 +327,20 @@ class OptimizerOptions:
     f_tol: float = 1e-10
     max_qubits: int = 12
     threads: int | None = None
-    seed_measurements: tuple[LocalMeasurement, ...] = ()
+
+    def __post_init__(self):
+        if not (math.isfinite(self.f_tol) and self.f_tol >= 0.0):
+            raise InvalidParamsError(
+                f"f_tol must be finite and >= 0, got {self.f_tol!r}"
+            )
+        if self.max_evals_per_start < 1:
+            raise InvalidParamsError(
+                f"max_evals_per_start must be >= 1, got {self.max_evals_per_start}"
+            )
+        if self.starts is not None and self.starts < 1:
+            raise InvalidParamsError(f"starts must be >= 1, got {self.starts}")
+        if self.threads is not None and self.threads < 0:
+            raise InvalidParamsError(f"threads must be >= 0, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -369,9 +385,9 @@ def _resolve_threads(requested: int | None, n_tasks: int) -> int:
         try:
             requested = int(env)
         except ValueError:
-            raise ValueError(f"GQD_THREADS must be an integer, got {env!r}")
-    if requested < 0:
-        raise ValueError(f"thread count must be >= 0, got {requested}")
+            requested = -1
+        if requested < 0:
+            raise ValueError(f"GQD_THREADS must be an integer >= 0, got {env!r}")
     if requested == 0:
         requested = os.cpu_count() or 1
     return max(1, min(requested, n_tasks))
@@ -400,18 +416,10 @@ _AXIS_VECTORS = {"z": (0.0, 0.0, 1.0), "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0
 def _start_points(n: int, opts: OptimizerOptions) -> list[np.ndarray]:
     """Stacked direction vectors ``[v_0, v_1, ...]`` of every start."""
     total = opts.starts if opts.starts is not None else 8 * n
-    if total < 1:
-        raise ValueError(f"starts must be >= 1, got {total}")
     axes = ("z", "x", "y")[: min(3, total)]
     points = [np.tile(_AXIS_VECTORS[axis], n) for axis in axes]
-    for m in opts.seed_measurements:
-        if m.n_qubits != n:
-            raise ValueError(
-                f"seed measurement covers {m.n_qubits} qubits, expected {n}"
-            )
-        points.append(np.concatenate([d.as_array() for d in m.directions]))
     rng = np.random.default_rng(opts.seed)
-    while len(points) < total + len(opts.seed_measurements):
+    while len(points) < total:
         z = rng.uniform(-1.0, 1.0, size=n)
         phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
         s = np.sqrt(1.0 - z * z)
@@ -548,12 +556,15 @@ def _check_numeric_size(rho: DensityMatrix, opts: OptimizerOptions) -> None:
         )
 
 
-def _short_circuit_result(n: int, opts: OptimizerOptions, method: str) -> GqdResult:
-    return GqdResult(
-        value=0.0,
-        method=method,
-        optimal_measurement=LocalMeasurement.along_axis("z", n),
-        diagnostics=OptimizerDiagnostics(
+def _solve(
+    rho: DensityMatrix, opts: OptimizerOptions, method: str, marginal: bool
+) -> GqdResult:
+    """The numeric routes' shared tail: zero at once for ``I / d``, else the
+    best start's ``H(q) - sum_j H(q_j) + I(rho)``, or ``H(q) - S(rho)``
+    without ``marginal``."""
+    n = rho.n_qubits
+    if _is_maximally_mixed(rho):
+        diag = OptimizerDiagnostics(
             starts=0,
             iterations=0,
             evaluations=0,
@@ -562,8 +573,13 @@ def _short_circuit_result(n: int, opts: OptimizerOptions, method: str) -> GqdRes
             seed=opts.seed,
             raw_value=0.0,
             converged=True,
-        ),
-    )
+        )
+        return GqdResult(0.0, method, LocalMeasurement.along_axis("z", n), diag)
+    offset = mutual_information(rho) if marginal else -von_neumann_entropy(rho)
+    fun = _entropy_objective(rho.matrix, marginal)
+    res, best, diag = _run_starts(fun, _start_points(n, opts), opts, offset)
+    measurement = _measurement_from(res.x[best])
+    return GqdResult(max(diag.raw_value, 0.0), method, measurement, diag)
 
 
 def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> GqdResult:
@@ -577,20 +593,7 @@ def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> Gqd
     """
     opts = opts or OptimizerOptions()
     _check_numeric_size(rho, opts)
-    n = rho.n_qubits
-    if _is_maximally_mixed(rho):
-        return _short_circuit_result(n, opts, "numeric")
-
-    fun = _entropy_objective(rho.matrix, marginal=True)
-    res, best, diag = _run_starts(
-        fun, _start_points(n, opts), opts, offset=mutual_information(rho)
-    )
-    return GqdResult(
-        value=max(diag.raw_value, 0.0),
-        method="numeric",
-        optimal_measurement=_measurement_from(res.x[best]),
-        diagnostics=diag,
-    )
+    return _solve(rho, opts, "numeric", marginal=True)
 
 
 def gqd_maximally_mixed(
@@ -604,24 +607,11 @@ def gqd_maximally_mixed(
     """
     opts = opts or OptimizerOptions()
     _check_numeric_size(rho, opts)
-    n = rho.n_qubits
-    for j in range(n):
+    for j in range(rho.n_qubits):
         dev = np.max(np.abs(partial_trace(rho, {j}).matrix - np.eye(2) / 2.0))
         if dev > 1e-8:
             raise ValueError(
                 f"qubit {j} marginal deviates from I/2 by {dev:.3e}, "
                 "shortcut requires maximally mixed marginals"
             )
-    if _is_maximally_mixed(rho):
-        return _short_circuit_result(n, opts, "maximally_mixed")
-
-    fun = _entropy_objective(rho.matrix, marginal=False)
-    res, best, diag = _run_starts(
-        fun, _start_points(n, opts), opts, offset=-von_neumann_entropy(rho)
-    )
-    return GqdResult(
-        value=max(diag.raw_value, 0.0),
-        method="maximally_mixed",
-        optimal_measurement=_measurement_from(res.x[best]),
-        diagnostics=diag,
-    )
+    return _solve(rho, opts, "maximally_mixed", marginal=False)

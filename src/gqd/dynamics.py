@@ -53,24 +53,17 @@ def phase_damping(rho: DensityMatrix, qubit: int, p: float) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def dephase_pauli_params(
-    params: PauliDiagonalParams, p: float, dephased_qubits: int = 1
-) -> PauliDiagonalParams:
-    """Coefficient map of phase damping on a Pauli-string mixture.
+def dephase_pauli_params(params: PauliDiagonalParams, p: float) -> PauliDiagonalParams:
+    """Coefficient map of phase damping on one qubit of a Pauli-string mixture.
 
-    Each dephased qubit contributes one factor ``1 - p`` to the transverse
-    coefficients; ``c3`` is untouched. ``dephased_qubits > 1`` extends the
-    single-qubit channel by applying it independently to that many qubits.
+    The transverse coefficients ``c1`` and ``c2`` shrink by ``1 - p``;
+    ``c3`` is untouched. Which qubit is dephased does not matter, since the
+    Pauli strings act alike on every qubit.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if not 1 <= dephased_qubits <= params.n_qubits:
-        raise ValueError(
-            f"dephased_qubits must lie in [1, {params.n_qubits}], "
-            f"got {dephased_qubits}"
-        )
     require_valid_pauli_params(params)
-    factor = (1.0 - p) ** dephased_qubits
+    factor = 1.0 - p
     return PauliDiagonalParams(
         params.n_qubits, params.c1 * factor, params.c2 * factor, params.c3
     )
@@ -135,24 +128,29 @@ def _active_branch(params: PauliDiagonalParams, p: float) -> str:
     return "x_dominant" if abs(params.c1) >= abs(params.c2) else "y_dominant"
 
 
+# A second difference counts as a spike above this many times the scan
+# median.
+_KINK_FACTOR = 10.0
 # Absolute floor under the kink threshold; keeps float dust on analytically
 # flat scans from registering as curvature.
 _KINK_FLOOR = 1e-9
+# Largest spread of the discord across a plateau.
+_PLATEAU_TOL = 1e-7
 
 
-def _detect_kinks(p_grid: np.ndarray, gqd: np.ndarray, branches, factor: float):
+def _detect_kinks(p_grid: np.ndarray, gqd: np.ndarray, branches):
     """Slope-discontinuity points, as corroborated detector agreement.
 
     A branch change marks where the dominant coefficient switches, which is
     the only mechanism that produces a kink on these scans; the discrete
-    second difference (spike above ``factor`` times the scan median) then
+    second difference (spike above ``_KINK_FACTOR`` times the scan median) then
     pins the location inside the change's one-step neighborhood. Curvature
     spikes without a branch change are boundary effects of the entropy near
     a vanishing spectral weight, not kinks, and stay unreported.
     """
     second = np.abs(gqd[:-2] - 2.0 * gqd[1:-1] + gqd[2:])
     threshold = (
-        max(factor * float(np.median(second)), _KINK_FLOOR)
+        max(_KINK_FACTOR * float(np.median(second)), _KINK_FLOOR)
         if second.size
         else math.inf
     )
@@ -173,7 +171,7 @@ def _detect_kinks(p_grid: np.ndarray, gqd: np.ndarray, branches, factor: float):
     return tuple(kinks)
 
 
-def _detect_plateaus(p_grid: np.ndarray, gqd: np.ndarray, tol: float):
+def _detect_plateaus(p_grid: np.ndarray, gqd: np.ndarray):
     plateaus = []
     i = 0
     m = len(p_grid)
@@ -182,7 +180,7 @@ def _detect_plateaus(p_grid: np.ndarray, gqd: np.ndarray, tol: float):
         lo = hi = gqd[i]
         while j + 1 < m:
             lo2, hi2 = min(lo, gqd[j + 1]), max(hi, gqd[j + 1])
-            if hi2 - lo2 > tol:
+            if hi2 - lo2 > _PLATEAU_TOL:
                 break
             lo, hi = lo2, hi2
             j += 1
@@ -200,19 +198,14 @@ def _detect_plateaus(p_grid: np.ndarray, gqd: np.ndarray, tol: float):
 
 
 def scan_gqd_vs_p(
-    params: PauliDiagonalParams,
-    p_grid,
-    *,
-    kink_factor: float = 10.0,
-    plateau_tol: float = 1e-7,
+    params: PauliDiagonalParams, p_grid
 ) -> tuple[list[SweepRecord], ScanReport]:
     """Closed-form discord along a dephasing grid, with structure detection.
 
     Returns one record per grid point plus a report listing the predicted
-    transition strength, detected kinks (second difference above
-    ``kink_factor`` times the scan median, or a branch change), and flat
-    plateaus (windows of at least three points spanning less than
-    ``plateau_tol``).
+    transition strength, detected kinks (a branch change, placed at the
+    second difference above 10 times the scan median), and flat plateaus
+    (windows of at least three points spanning at most 1e-7).
     """
     grid = np.asarray(p_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
@@ -238,7 +231,7 @@ def scan_gqd_vs_p(
     branches = [r.active_branch for r in records]
     report = ScanReport(
         predicted_transition_p=sudden_transition_point(params),
-        kinks=_detect_kinks(grid, gqd_vals, branches, kink_factor),
-        plateaus=_detect_plateaus(grid, gqd_vals, plateau_tol),
+        kinks=_detect_kinks(grid, gqd_vals, branches),
+        plateaus=_detect_plateaus(grid, gqd_vals),
     )
     return records, report

@@ -9,7 +9,6 @@ state is exactly diagonal in the rotated product basis, which is how
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "rotation_to_z",
     "pinch_matrix",
     "apply_local_measurement",
-    "post_measurement_marginal",
     "measurement_objective",
     "relative_entropy_objective",
     "canonical_direction",
@@ -86,19 +84,6 @@ class LocalMeasurement:
             raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
         return cls(tuple(vec for _ in range(n_qubits)))
 
-    @classmethod
-    def from_angles(cls, angles) -> "LocalMeasurement":
-        """Build from a flat array ``[theta_0, phi_0, theta_1, phi_1, ...]``."""
-        a = np.asarray(angles, dtype=float).ravel()
-        if a.size == 0 or a.size % 2:
-            raise ValueError(f"angles must pair up as (theta, phi), got size {a.size}")
-        return cls(
-            tuple(
-                BlochVector.from_angles(a[2 * i], a[2 * i + 1])
-                for i in range(a.size // 2)
-            )
-        )
-
     def canonicalized(self) -> "LocalMeasurement":
         return LocalMeasurement(tuple(canonical_direction(d) for d in self.directions))
 
@@ -111,35 +96,38 @@ def projectors(direction: BlochVector) -> tuple[np.ndarray, np.ndarray]:
 
 def rotation_to_z(direction: BlochVector) -> np.ndarray:
     """2x2 unitary ``V`` with ``V (n . sigma) V^dagger = sigma_z``."""
-    theta = math.atan2(math.hypot(direction.x, direction.y), direction.z)
-    phi = math.atan2(direction.y, direction.x)
-    return _angles_to_unitaries(np.array([theta]), np.array([phi]))[0]
+    return _rotations_to_z((direction,))[0]
 
 
-def _unitaries(c: np.ndarray, es: np.ndarray) -> np.ndarray:
-    """Stack of ``[[c, es], [-conj(es), c]]``, the ``rotation_to_z`` unitaries
-    for ``c = cos(theta / 2)`` and ``es = exp(-i phi) sin(theta / 2)``."""
-    u = np.empty(c.shape + (2, 2), dtype=np.complex128)
-    u[..., 0, 0] = u[..., 1, 1] = c
-    u[..., 0, 1] = es
-    u[..., 1, 0] = -es.conj()
+def _rotations_to_z(directions) -> np.ndarray:
+    """Stack of the :func:`rotation_to_z` unitaries, one per direction.
+
+    A direction with ``z < 0`` takes the upper unitary ``u`` of its antipode,
+    which sends ``n . sigma`` to ``-sigma_z``, with its rows swapped:
+    ``X u (n . sigma) u^dagger X = sigma_z``.
+    """
+    axes = np.array([d.as_array() for d in directions]).reshape(-1, 3)
+    lower = axes[:, 2] < 0.0
+    u = _upper_unitaries(np.where(lower[:, None], -axes, axes))
+    u[lower] = PAULI_X @ u[lower]
     return u
-
-
-def _angles_to_unitaries(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Stack of the ``rotation_to_z`` unitaries for polar angles and azimuths."""
-    return _unitaries(np.cos(theta / 2.0), np.exp(-1j * phi) * np.sin(theta / 2.0))
 
 
 def _upper_unitaries(axes: np.ndarray) -> np.ndarray:
     """The ``rotation_to_z`` unitaries of unit axes ``(..., 3)`` with ``z >= 0``.
 
-    Without trigonometry: ``cos(theta / 2) = sqrt((1 + z) / 2)``, which is at
-    least ``1 / sqrt(2)`` on the upper hemisphere, and
-    ``exp(-i phi) sin(theta / 2) = (x - i y) / (2 cos(theta / 2))``.
+    Each is ``[[c, e], [-conj(e), c]]`` with ``c = cos(theta / 2)`` and
+    ``e = exp(-i phi) sin(theta / 2)``, built without trigonometry:
+    ``c = sqrt((1 + z) / 2)``, which is at least ``1 / sqrt(2)`` on the upper
+    hemisphere, and ``e = (x - i y) / (2 c)``.
     """
     c = np.sqrt((1.0 + axes[..., 2]) / 2.0)
-    return _unitaries(c, (axes[..., 0] - 1j * axes[..., 1]) / (2.0 * c))
+    e = (axes[..., 0] - 1j * axes[..., 1]) / (2.0 * c)
+    u = np.empty(c.shape + (2, 2), dtype=np.complex128)
+    u[..., 0, 0] = u[..., 1, 1] = c
+    u[..., 0, 1] = e
+    u[..., 1, 0] = -e.conj()
+    return u
 
 
 def _measured_distribution(
@@ -218,7 +206,7 @@ def pinch_matrix(mat, directions) -> np.ndarray:
         raise ValueError(
             f"matrix shape {a.shape} does not match {n} measurement directions"
         )
-    unitaries = np.stack([rotation_to_z(dd) for dd in directions])
+    unitaries = _rotations_to_z(directions)
     t = _measured_distribution(a, unitaries[None])[0].reshape(d, 1, 1)
     for u in unitaries[::-1]:
         b, r = t.shape[0] // 2, t.shape[1]
@@ -245,23 +233,6 @@ def apply_local_measurement(rho: DensityMatrix, m: LocalMeasurement) -> DensityM
     return DensityMatrix(out)
 
 
-def post_measurement_marginal(
-    rho: DensityMatrix, m: LocalMeasurement, qubit: int
-) -> DensityMatrix:
-    """Single-qubit marginal of the measured state.
-
-    Equal to pinching the reduced state directly, since the pinching on the
-    other qubits traces away.
-    """
-    _check_covers(rho, m)
-    if not 0 <= qubit < rho.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {rho.n_qubits} qubits")
-    reduced = partial_trace(rho, {qubit})
-    out = pinch_matrix(reduced.matrix, (m.directions[qubit],))
-    out = (out + out.conj().T) / 2.0
-    return DensityMatrix(out)
-
-
 def measurement_objective(rho: DensityMatrix, m: LocalMeasurement) -> float:
     """Mutual-information loss ``I(rho) - I(Phi(rho))`` of the measurement.
 
@@ -273,8 +244,7 @@ def measurement_objective(rho: DensityMatrix, m: LocalMeasurement) -> float:
     """
     _check_covers(rho, m)
     n = m.n_qubits
-    unitaries = np.stack([rotation_to_z(d) for d in m.directions])
-    q = _measured_distribution(rho.matrix, unitaries[None])[0].real
+    q = _measured_distribution(rho.matrix, _rotations_to_z(m.directions)[None])[0].real
     cube = q.reshape((2,) * n)
     marginals = sum(
         _entropy_bits(cube.sum(axis=tuple(k for k in range(n) if k != j)))
@@ -287,13 +257,15 @@ def relative_entropy_objective(rho: DensityMatrix, m: LocalMeasurement) -> float
     """The same objective evaluated through relative entropies.
 
     Computes ``S(rho || Phi(rho)) - sum_j S(rho_j || Phi_j(rho_j))`` where
-    ``rho_j`` are the single-qubit marginals. Agrees with
+    ``rho_j`` are the single-qubit marginals and ``Phi_j`` measures qubit j
+    alone. Agrees with
     :func:`measurement_objective` to high precision; the package's checks
     assert both routes match within 1e-9.
     """
     phi_rho = apply_local_measurement(rho, m)
     total = relative_entropy(rho, phi_rho)
-    for j in range(rho.n_qubits):
+    for j, direction in enumerate(m.directions):
         reduced = partial_trace(rho, {j})
-        total -= relative_entropy(reduced, post_measurement_marginal(rho, m, j))
+        measured = apply_local_measurement(reduced, LocalMeasurement((direction,)))
+        total -= relative_entropy(reduced, measured)
     return total

@@ -164,14 +164,6 @@ class BlochVector:
                 f"got norm {norm!r}"
             )
 
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "BlochVector":
-        """Direction at polar angle ``theta`` and azimuth ``phi``."""
-        st = math.sin(theta)
-        v = np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-        v /= np.linalg.norm(v)
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 

@@ -17,6 +17,7 @@ from gqd.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
     EXIT_QUBIT_LIMIT,
+    MAX_GRID_STEPS,
     DocumentError,
     StateDocument,
     load_state_document,
@@ -37,6 +38,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def forbid_grids(monkeypatch):
+    """Make any grid allocation fail the test."""
+    def linspace(*args, **kwargs):
+        raise AssertionError("grid allocated before its size was checked")
+
+    monkeypatch.setattr(np, "linspace", linspace)
 
 
 class TestStateDocuments:
@@ -187,6 +196,21 @@ class TestCompute:
         assert code == EXIT_OK
         assert json.loads(out)["method"] == "werner_ghz"
 
+    @pytest.mark.parametrize("method", ["numeric", "closed"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "-1"), ("--tol", "nan"), ("--starts", "0")]
+    )
+    def test_rejects_out_of_range_optimizer_options(
+        self, tmp_path, capsys, method, flag, value
+    ):
+        doc = write_doc(tmp_path / "w.json", {"kind": "werner_ghz", "n_qubits": 3, "mu": 0.5})
+        code, out, err = run_cli(
+            capsys, "compute", "--input", doc, "--method", method, flag, value
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_seed_changes_are_recorded(self, tmp_path, capsys):
         doc = write_doc(tmp_path / "w.json", {"kind": "werner_ghz", "n_qubits": 2, "mu": 0.3})
         code, out, _ = run_cli(
@@ -255,6 +279,16 @@ class TestFigure1:
         assert code == EXIT_INVALID_INPUT
         assert "mu-steps" in err
 
+    def test_rejects_grid_above_cap(self, tmp_path, capsys, monkeypatch):
+        forbid_grids(monkeypatch)
+        code, _, err = run_cli(
+            capsys, "figure1", "--mu-steps", str(MAX_GRID_STEPS + 1),
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert err.startswith("error:") and "mu-steps" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rejects_bad_n_list(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "figure1", "--n-list", "2,one", "--out", str(tmp_path / "x.csv")
@@ -316,6 +350,17 @@ class TestDephaseScan:
         )
         assert code == EXIT_INVALID_INPUT
         assert "p-steps" in err
+
+    def test_rejects_grid_above_cap(self, tmp_path, capsys, monkeypatch):
+        forbid_grids(monkeypatch)
+        code, _, err = run_cli(
+            capsys, "dephase-scan", "--n", "2", "--c1", "0.5", "--c2", "0.1",
+            "--c3", "0.2", "--p-steps", str(MAX_GRID_STEPS + 1),
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert err.startswith("error:") and "p-steps" in err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestVerify:

@@ -327,14 +327,6 @@ class TestNumericOptimizer:
         for d in res.optimal_measurement.directions:
             assert d.z >= 0.0
 
-    def test_seed_measurements_join_the_starts(self):
-        rho = werner_ghz_state(WernerGhzParams(2, 0.7))
-        seed_m = LocalMeasurement.along_axis("z", 2)
-        opts = OptimizerOptions(starts=4, seed_measurements=(seed_m,))
-        res = gqd_numeric(rho, opts)
-        assert res.diagnostics.starts == 5
-        assert abs(res.value - gqd_werner_ghz(WernerGhzParams(2, 0.7))) <= 1e-6
-
     def test_starts_override_recorded(self):
         rho = werner_ghz_state(WernerGhzParams(2, 0.5))
         res = gqd_numeric(rho, OptimizerOptions(starts=6))
@@ -479,6 +471,36 @@ class TestResultCertificate:
     def test_unknown_option_is_rejected(self):
         with pytest.raises(TypeError):
             OptimizerOptions(x_tol=1e-5)
+
+
+class TestOptimizerOptions:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"f_tol": -1.0},
+            {"f_tol": math.nan},
+            {"f_tol": math.inf},
+            {"max_evals_per_start": 0},
+            {"max_evals_per_start": -3},
+            {"starts": 0},
+            {"starts": -1},
+            {"threads": -1},
+        ],
+    )
+    def test_rejects_out_of_range_values(self, kwargs):
+        with pytest.raises(InvalidParamsError, match=next(iter(kwargs))):
+            OptimizerOptions(**kwargs)
+
+    def test_accepts_the_boundaries(self):
+        opts = OptimizerOptions(f_tol=0.0, max_evals_per_start=1, starts=1, threads=0)
+        res = gqd_numeric(werner_ghz_state(WernerGhzParams(2, 0.5)), opts)
+        assert res.diagnostics.starts == 1
+
+    @pytest.mark.parametrize("env", ["-1", "two"])
+    def test_rejects_bad_thread_environment(self, monkeypatch, env):
+        monkeypatch.setenv("GQD_THREADS", env)
+        with pytest.raises(ValueError, match="GQD_THREADS"):
+            gqd_numeric(werner_ghz_state(WernerGhzParams(2, 0.5)))
 
 
 def rotated_family_state(n: int, rng: np.random.Generator) -> DensityMatrix:

@@ -83,11 +83,6 @@ class TestDephaseParamMap:
         out = dephase_pauli_params(params, 0.25)
         assert np.allclose(out.coefficients(), (0.375, 0.075, 0.2), atol=1e-15)
 
-    def test_multiple_dephased_qubits_compound(self):
-        params = PauliDiagonalParams(3, 0.8, 0.4, 0.1)
-        out = dephase_pauli_params(params, 0.5, dephased_qubits=2)
-        assert np.allclose(out.coefficients(), (0.2, 0.1, 0.1), atol=1e-15)
-
     def test_preserves_validity_along_sweep(self):
         rng = np.random.default_rng(RNG_SEED)
         for n in (2, 3, 4):
@@ -100,9 +95,7 @@ class TestDephaseParamMap:
         with pytest.raises(ValueError):
             dephase_pauli_params(params, -0.1)
         with pytest.raises(ValueError):
-            dephase_pauli_params(params, 0.5, dephased_qubits=0)
-        with pytest.raises(ValueError):
-            dephase_pauli_params(params, 0.5, dephased_qubits=3)
+            dephase_pauli_params(params, 1.1)
 
 
 class TestSuddenTransitionPoint:

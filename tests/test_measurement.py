@@ -9,13 +9,11 @@ import pytest
 from gqd.discord import WernerGhzParams, werner_ghz_state
 from gqd.measurement import (
     LocalMeasurement,
-    _angles_to_unitaries,
     _measured_distribution,
     apply_local_measurement,
     canonical_direction,
     measurement_objective,
     pinch_matrix,
-    post_measurement_marginal,
     projectors,
     relative_entropy_objective,
     rotation_to_z,
@@ -30,6 +28,7 @@ from gqd.qcore import (
     partial_trace,
     random_bloch_vector,
     random_density_matrix,
+    random_unitary,
 )
 
 RNG_SEED = 20240812
@@ -64,30 +63,42 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-def angle_cases(n: int, rng: np.random.Generator) -> dict:
-    """Random angles, the optimizer's three axis starts, and both poles."""
-    def tiled(theta, phi):
-        return np.tile([theta, phi], n).astype(float)
+def direction_cases(n: int, rng: np.random.Generator) -> dict:
+    """Per-qubit directions: random ones alternating between the upper and
+    lower hemisphere, the optimizer's three axis starts, both poles, and
+    equator points with x < 0 and y < 0."""
+    def tiled(x, y, z):
+        return (BlochVector(x, y, z),) * n
 
-    def pole(theta):
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        return np.column_stack([np.full(n, theta), phi]).ravel()
-
+    mixed = []
+    for k in range(n):
+        v = random_bloch_vector(rng)
+        mixed.append(v.antipode() if (v.z < 0) != (k % 2 == 1) else v)
+    phi = rng.uniform(math.pi, 1.5 * math.pi, size=n)
     return {
-        "random": rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=2 * n),
-        "z": tiled(0.0, 0.0),
-        "x": tiled(math.pi / 2.0, 0.0),
-        "y": tiled(math.pi / 2.0, math.pi / 2.0),
-        "theta=0": pole(0.0),
-        "theta=pi": pole(math.pi),
+        "random": tuple(mixed),
+        "z": tiled(0.0, 0.0, 1.0),
+        "x": tiled(1.0, 0.0, 0.0),
+        "y": tiled(0.0, 1.0, 0.0),
+        "south": tiled(0.0, 0.0, -1.0),
+        "equator": tuple(BlochVector(math.cos(f), math.sin(f), 0.0) for f in phi),
+        "-x,-y": tuple(
+            BlochVector(-1.0, 0.0, 0.0) if k % 2 else BlochVector(0.0, -1.0, 0.0)
+            for k in range(n)
+        ),
     }
 
 
-def directions_from_angles(angles: np.ndarray) -> tuple[BlochVector, ...]:
-    return tuple(
-        BlochVector.from_angles(angles[2 * i], angles[2 * i + 1])
-        for i in range(angles.size // 2)
-    )
+def unitary_cases(n: int, rng: np.random.Generator) -> dict:
+    """Per-qubit unitaries: the direction cases through ``rotation_to_z``,
+    and two stacks of Haar-random unitaries."""
+    cases = {
+        name: np.stack([rotation_to_z(d) for d in directions])
+        for name, directions in direction_cases(n, rng).items()
+    }
+    for k in range(2):
+        cases[f"haar{k}"] = np.stack([random_unitary(2, rng) for _ in range(n)])
+    return cases
 
 
 class TestMeasuredDistributionKernel:
@@ -97,8 +108,7 @@ class TestMeasuredDistributionKernel:
     def test_matches_kronecker_reference(self, n):
         rng = np.random.default_rng(RNG_SEED + n)
         rho = random_density_matrix(n, rng).matrix
-        for name, angles in angle_cases(n, rng).items():
-            unitaries = _angles_to_unitaries(angles[0::2], angles[1::2])
+        for name, unitaries in unitary_cases(n, rng).items():
             v = kron_all(list(unitaries))
             want = np.diag(v @ rho @ v.conj().T)
             got = _measured_distribution(rho, unitaries[None])
@@ -111,8 +121,7 @@ class TestMeasuredDistributionKernel:
         # outcome equal to y, read in qubit order.
         rng = np.random.default_rng(RNG_SEED + 200 + n)
         rho = random_density_matrix(n, rng).matrix
-        for name, angles in angle_cases(n, rng).items():
-            unitaries = _angles_to_unitaries(angles[0::2], angles[1::2])
+        for name, unitaries in unitary_cases(n, rng).items():
             v = kron_all(list(unitaries))
             sigma = (v @ rho @ v.conj().T).reshape((2,) * (2 * n))
             q, c = _measured_distribution(rho, unitaries[None], coherences=True)
@@ -131,9 +140,7 @@ class TestMeasuredDistributionKernel:
         # does not depend on the entries stacked with it.
         rng = np.random.default_rng(RNG_SEED + 300 + n)
         rho = random_density_matrix(n, rng).matrix
-        unitaries = np.stack([
-            _angles_to_unitaries(a[0::2], a[1::2]) for a in angle_cases(n, rng).values()
-        ])
+        unitaries = np.stack(list(unitary_cases(n, rng).values()))
         q, c = _measured_distribution(rho, unitaries, coherences=True)
         assert q.shape == (len(unitaries), 2**n)
         for k, u in enumerate(unitaries):
@@ -149,8 +156,7 @@ class TestMeasuredDistributionKernel:
             "ginibre_state": random_density_matrix(n, rng).matrix,
             "non_hermitian": (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d,
         }
-        for name, angles in angle_cases(n, rng).items():
-            directions = directions_from_angles(angles)
+        for name, directions in direction_cases(n, rng).items():
             v = kron_all([rotation_to_z(dd) for dd in directions])
             for kind, mat in mats.items():
                 rotated = v @ mat @ v.conj().T
@@ -177,9 +183,15 @@ class TestProjectors:
 
 class TestRotationToZ:
     def test_aligns_direction_with_z(self):
+        # Random directions and their antipodes cover both hemispheres; the
+        # cases add both poles and the equator with x < 0 and y < 0.
         rng = np.random.default_rng(RNG_SEED)
-        for _ in range(30):
-            d = random_bloch_vector(rng)
+        directions = [random_bloch_vector(rng) for _ in range(30)]
+        directions += [d.antipode() for d in directions]
+        for case in direction_cases(4, rng).values():
+            directions += case
+        assert any(d.z < 0 for d in directions)
+        for d in directions:
             v = rotation_to_z(d)
             assert np.allclose(v @ v.conj().T, np.eye(2), atol=1e-12)
             assert np.allclose(v @ n_dot_sigma(d) @ v.conj().T, PAULI_Z, atol=1e-12)
@@ -195,15 +207,6 @@ class TestLocalMeasurement:
         assert m.n_qubits == 3
         for d in m.directions:
             assert np.allclose(d.as_array(), [1.0, 0.0, 0.0], atol=0)
-
-    def test_from_angles_round_trip(self):
-        m = LocalMeasurement.from_angles([0.3, 1.2, 2.0, -0.5])
-        assert m.n_qubits == 2
-        assert math.isclose(m.directions[0].z, math.cos(0.3), abs_tol=1e-12)
-
-    def test_from_angles_rejects_odd_count(self):
-        with pytest.raises(ValueError):
-            LocalMeasurement.from_angles([0.3, 1.2, 2.0])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -299,7 +302,13 @@ class TestApplyLocalMeasurement:
             )
 
 
-class TestPostMeasurementMarginal:
+def measure_reduced(rho: DensityMatrix, m: LocalMeasurement, qubit: int) -> DensityMatrix:
+    """Qubit ``qubit``'s reduced state, measured along its own direction."""
+    reduced = partial_trace(rho, {qubit})
+    return apply_local_measurement(reduced, LocalMeasurement((m.directions[qubit],)))
+
+
+class TestMeasuredMarginal:
     def test_commutes_with_partial_trace(self):
         rng = np.random.default_rng(RNG_SEED)
         for n in (2, 3):
@@ -309,7 +318,7 @@ class TestPostMeasurementMarginal:
                 measured = apply_local_measurement(rho, m)
                 for q in range(n):
                     via_state = partial_trace(measured, {q})
-                    via_marginal = post_measurement_marginal(rho, m, q)
+                    via_marginal = measure_reduced(rho, m, q)
                     assert (
                         np.linalg.norm(via_state.matrix - via_marginal.matrix) <= 1e-10
                     )
@@ -319,14 +328,8 @@ class TestPostMeasurementMarginal:
         rho = werner_ghz_state(WernerGhzParams(2, 0.7))
         m = random_measurement(2, rng)
         for q in range(2):
-            marg = post_measurement_marginal(rho, m, q)
+            marg = measure_reduced(rho, m, q)
             assert np.allclose(marg.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_rejects_out_of_range_qubit(self):
-        with pytest.raises(ValueError):
-            post_measurement_marginal(
-                maximally_mixed(2), LocalMeasurement.along_axis("z", 2), 2
-            )
 
 
 class TestObjectives:

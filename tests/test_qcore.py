@@ -107,13 +107,8 @@ class TestBlochVector:
         with pytest.raises(ValueError, match="unit"):
             BlochVector(1.0, 1.0, 0.0)
 
-    def test_from_angles_round_trip(self):
-        v = BlochVector.from_angles(0.7, 2.1)
-        assert math.isclose(np.linalg.norm(v.as_array()), 1.0, abs_tol=1e-12)
-        assert math.isclose(v.z, math.cos(0.7), abs_tol=1e-12)
-
     def test_antipode_negates(self):
-        v = BlochVector.from_angles(1.0, -0.4)
+        v = BlochVector(0.48, -0.6, 0.64)
         assert np.allclose(v.antipode().as_array(), -v.as_array(), atol=1e-15)
 
 
