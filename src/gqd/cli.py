@@ -99,14 +99,31 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _parse_matrix(raw, n_qubits: int) -> np.ndarray:
-    d = 2**n_qubits
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DocumentError(f"dense matrix is not a grid of numbers: {exc}") from None
+    # No array has 2^64 rows, so a larger n_qubits is never raised to 2**n.
+    d = 2 ** min(n_qubits, 64)
     _require(
         arr.shape == (d, d, 2),
-        f"dense matrix must be a {d}x{d} grid of [re, im] pairs, "
-        f"got shape {arr.shape}",
+        f"dense matrix must be a 2^{n_qubits} x 2^{n_qubits} grid of [re, im] "
+        f"pairs, got shape {arr.shape}",
     )
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _number(data: dict, key: str) -> float:
+    """Field ``key`` as a float; a bool or a number beyond float range is rejected."""
+    v = data.get(key)
+    _require(
+        isinstance(v, (int, float)) and not isinstance(v, bool),
+        f"{data['kind']} document needs numeric {key!r}",
+    )
+    try:
+        return float(v)
+    except OverflowError:
+        raise DocumentError(f"{key!r} lies beyond the float range") from None
 
 
 def state_document_from_dict(data: dict) -> StateDocument:
@@ -124,15 +141,9 @@ def state_document_from_dict(data: dict) -> StateDocument:
         _require("matrix" in data, "dense document needs a 'matrix' field")
         return StateDocument(kind, n, matrix=_parse_matrix(data["matrix"], n))
     if kind == "werner_ghz":
-        mu = data.get("mu")
-        _require(isinstance(mu, (int, float)), "werner_ghz document needs numeric 'mu'")
-        return StateDocument(kind, n, mu=float(mu))
-    coeffs = []
-    for key in ("c1", "c2", "c3"):
-        v = data.get(key)
-        _require(isinstance(v, (int, float)), f"pauli_diagonal document needs numeric {key!r}")
-        coeffs.append(float(v))
-    return StateDocument(kind, n, coefficients=tuple(coeffs))
+        return StateDocument(kind, n, mu=_number(data, "mu"))
+    coeffs = tuple(_number(data, key) for key in ("c1", "c2", "c3"))
+    return StateDocument(kind, n, coefficients=coeffs)
 
 
 def load_state_document(path: str) -> StateDocument:
@@ -141,7 +152,9 @@ def load_state_document(path: str) -> StateDocument:
             data = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read state document: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, bytes that are not UTF-8 and
+        # integers beyond Python's digit limit; RecursionError deep nesting.
         raise DocumentError(f"state document is not valid JSON: {exc}") from exc
     return state_document_from_dict(data)
 
@@ -202,6 +215,11 @@ def cmd_compute(args) -> int:
         method = "numeric" if doc.kind == "dense" else "closed"
     t0 = time.perf_counter()
     if method == "closed":
+        for flag in ("starts", "tol"):
+            _require(
+                getattr(args, flag) is None,
+                f"--{flag} applies only to the numeric method",
+            )
         value, tag = doc.closed_form()
         result = GqdResult(value=max(value, 0.0), method=tag)
     else:

@@ -22,20 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lbfgs import StackedResult, minimize_stacked
-from .measurement import (
-    LocalMeasurement,
-    _measured_distribution,
-    _upper_unitaries,
-)
+from .measurement import LocalMeasurement, _entropy_objective
 from .qcore import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     BlochVector,
     DensityMatrix,
     Spectrum,
-    _TINY,
-    _entropy_bits,
     _xlog2,
     binary_entropy,
     mutual_information,
@@ -317,8 +308,10 @@ class OptimizerOptions:
     many contiguous chunks run on a thread pool, overriding the
     ``GQD_THREADS`` environment variable; 0 means one thread per CPU,
     capped by the number of starts. The result does not depend on it.
-    Construction raises :class:`InvalidParamsError` for a value out of
-    these ranges.
+    ``seed`` (at least 0) seeds the random starts. Every field but
+    ``f_tol`` is a plain ``int``. Construction raises
+    :class:`InvalidParamsError` for a value of another type or out of these
+    ranges.
     """
 
     seed: int = 0
@@ -329,18 +322,30 @@ class OptimizerOptions:
     threads: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.f_tol) and self.f_tol >= 0.0):
+        if not (
+            type(self.f_tol) in (int, float)
+            and math.isfinite(self.f_tol)
+            and self.f_tol >= 0.0
+        ):
             raise InvalidParamsError(
                 f"f_tol must be finite and >= 0, got {self.f_tol!r}"
             )
-        if self.max_evals_per_start < 1:
-            raise InvalidParamsError(
-                f"max_evals_per_start must be >= 1, got {self.max_evals_per_start}"
-            )
-        if self.starts is not None and self.starts < 1:
-            raise InvalidParamsError(f"starts must be >= 1, got {self.starts}")
-        if self.threads is not None and self.threads < 0:
-            raise InvalidParamsError(f"threads must be >= 0, got {self.threads}")
+        # Each integer field with its least value. A plain type test, as for
+        # n_qubits: bool is an int subclass.
+        for name, low in (
+            ("seed", 0),
+            ("starts", 1),
+            ("max_evals_per_start", 1),
+            ("max_qubits", None),
+            ("threads", 0),
+        ):
+            v = getattr(self, name)
+            if v is None and name in ("starts", "threads"):
+                continue
+            if type(v) is not int:
+                raise InvalidParamsError(f"{name} must be an integer, got {v!r}")
+            if low is not None and v < low:
+                raise InvalidParamsError(f"{name} must be >= {low}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -400,16 +405,6 @@ def _resolve_threads(requested: int | None, n_tasks: int) -> int:
 _GRAD_TOL = 1e-7
 # Starts whose final values lie this close to the best count as agreeing.
 _AGREE_TOL = 1e-6
-# Most density-matrix entries one kernel call may hold across its stack, so
-# that memory is bounded by N alone. 2^15 complex entries (512 KiB) keep a
-# call's working set in a 2 MiB L2 cache; larger stacks spill it. Per start,
-# a stack of four cost 1.3x a single start at N = 7, and a stack of three
-# 1.4x at N = 8, while stacks at N <= 6 cost less per start than one.
-_KERNEL_ENTRIES = 2**15
-# Column b is sigma_b^T flattened, so that a.ravel() @ _PAULI_TRACE gives
-# tr(sigma_b a) for b = x, y, z.
-_PAULI_TRACE = np.stack([p.T.ravel() for p in (PAULI_X, PAULI_Y, PAULI_Z)], axis=1)
-
 _AXIS_VECTORS = {"z": (0.0, 0.0, 1.0), "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}
 
 
@@ -425,71 +420,6 @@ def _start_points(n: int, opts: OptimizerOptions) -> list[np.ndarray]:
         s = np.sqrt(1.0 - z * z)
         points.append(np.column_stack([s * np.cos(phi), s * np.sin(phi), z]).ravel())
     return points
-
-
-def _entropy_objective(rho_mat: np.ndarray, marginal: bool):
-    """Values and gradients of ``H(q) - sum_j H(q_j)`` over a stack of points.
-
-    Each row ``x = [v_0, v_1, ...]`` measures qubit j along
-    ``n_j = v_j / |v_j|``; q is the measured distribution and q_j qubit j's
-    measured marginal. With ``marginal=False`` the marginal term is left out.
-
-    Turning n_j along the tangent frame vector ``t_x`` (``t_y``) of its
-    unitary moves ``q_(y,0_j)`` by ``Re c_j(y)`` (``-Im c_j(y)``) and
-    ``q_(y,1_j)`` by the opposite, where c_j are the kernel's coherences. So
-    with ``L_j(y) = log2(q_(y,0_j) / q_(y,1_j))`` and
-    ``s_j = sum_y L_j(y) c_j(y)`` the tangent gradient of H(q) is
-    ``-Re s_j t_x + Im s_j t_y = -Re(s_j (t_x + i t_y))``. The marginal term
-    subtracts ``log2(q_j0 / q_j1)`` from every ``L_j(y)``. The gradient in
-    ``v_j`` is the tangent gradient divided by ``|v_j|``.
-
-    The stack is cut into calls of at most ``_KERNEL_ENTRIES`` matrix
-    entries, which bounds memory by N alone; every operation is row-wise,
-    so the cut does not change a row's result.
-    """
-    n = int(rho_mat.shape[0]).bit_length() - 1
-    # idx[x, j, y]: position in q of the outcome with qubit j at x and the
-    # other qubits at y, in the order of the kernel's c_j(y).
-    cube = np.arange(2**n).reshape((2,) * n)
-    idx = np.array([[np.take(cube, x, j).ravel() for j in range(n)] for x in (0, 1)])
-
-    def value_and_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = x.reshape(len(x), n, 3)
-        # n_j and -n_j are one measurement with its outcomes swapped: measure
-        # along the one with z >= 0 and flip the gradient back.
-        scale = np.where(v[..., 2] < 0.0, -1.0, 1.0) / np.sqrt((v * v).sum(axis=-1))
-        unitaries = _upper_unitaries(v * scale[..., None])
-        q, c = _measured_distribution(rho_mat, unitaries, coherences=True)
-        q = q.real
-        value = _entropy_bits(q)
-        # np.take keeps each row contiguous, and so each row's sums in one
-        # order whatever the stack; q[:, idx] does not.
-        log_q = np.take(np.log2(np.maximum(q, _TINY)), idx, axis=1)
-        ratio = log_q[:, 0] - log_q[:, 1]
-        if marginal:
-            p = np.take(q, idx, axis=1).sum(axis=-1)
-            value -= _entropy_bits(p.reshape(len(x), 2 * n))
-            log_p = np.log2(np.maximum(p, _TINY))
-            ratio -= (log_p[:, 0] - log_p[:, 1])[..., None]
-        s = (ratio * c).sum(axis=-1)
-        # t_x + i t_y is the Bloch vector of a = u_j^dagger |0><1| u_j, whose
-        # entries are a_kl = conj(u_0k) u_1l.
-        a = unitaries[..., 0, :, None].conj() * unitaries[..., 1, None, :]
-        grad = (s[..., None] * (a.reshape(len(x), n, 4) @ _PAULI_TRACE)).real
-        return value, (grad * -scale[..., None]).reshape(len(x), 3 * n)
-
-    rows_per_call = max(1, _KERNEL_ENTRIES >> (2 * n))
-
-    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if len(x) <= rows_per_call:
-            return value_and_grad(x)
-        parts = [
-            value_and_grad(x[i : i + rows_per_call])
-            for i in range(0, len(x), rows_per_call)
-        ]
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
-    return fun
 
 
 def _measurement_from(x: np.ndarray) -> LocalMeasurement:

@@ -20,6 +20,7 @@ from .qcore import (
     PAULI_Z,
     BlochVector,
     DensityMatrix,
+    _TINY,
     _entropy_bits,
     mutual_information,
     partial_trace,
@@ -95,39 +96,34 @@ def projectors(direction: BlochVector) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rotation_to_z(direction: BlochVector) -> np.ndarray:
-    """2x2 unitary ``V`` with ``V (n . sigma) V^dagger = sigma_z``."""
-    return _rotations_to_z((direction,))[0]
+    """2x2 unitary ``V`` with ``V (n . sigma) V^dagger = sigma_z``.
 
-
-def _rotations_to_z(directions) -> np.ndarray:
-    """Stack of the :func:`rotation_to_z` unitaries, one per direction.
-
-    A direction with ``z < 0`` takes the upper unitary ``u`` of its antipode,
-    which sends ``n . sigma`` to ``-sigma_z``, with its rows swapped:
-    ``X u (n . sigma) u^dagger X = sigma_z``.
+    For ``z < 0`` the unitary of ``-n`` sends ``n . sigma`` to ``-sigma_z``;
+    swapping its rows gives ``X u (n . sigma) u^dagger X = sigma_z``.
     """
-    axes = np.array([d.as_array() for d in directions]).reshape(-1, 3)
-    lower = axes[:, 2] < 0.0
-    u = _upper_unitaries(np.where(lower[:, None], -axes, axes))
-    u[lower] = PAULI_X @ u[lower]
-    return u
+    u, scale = _unitaries(direction.as_array())
+    return PAULI_X @ u if scale < 0.0 else u
 
 
-def _upper_unitaries(axes: np.ndarray) -> np.ndarray:
-    """The ``rotation_to_z`` unitaries of unit axes ``(..., 3)`` with ``z >= 0``.
+def _unitaries(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measurement unitaries of vectors ``v`` of shape ``(..., 3)``, and their scale.
 
-    Each is ``[[c, e], [-conj(e), c]]`` with ``c = cos(theta / 2)`` and
-    ``e = exp(-i phi) sin(theta / 2)``, built without trigonometry:
-    ``c = sqrt((1 + z) / 2)``, which is at least ``1 / sqrt(2)`` on the upper
-    hemisphere, and ``e = (x - i y) / (2 c)``.
+    ``n`` and ``-n`` are one measurement with its outcomes swapped, so each
+    vector is scaled by ``scale = +-1 / |v|`` to the unit axis with
+    ``z >= 0``. Its unitary is ``[[c, e], [-conj(e), c]]`` with
+    ``c = cos(theta / 2)`` and ``e = exp(-i phi) sin(theta / 2)``, built
+    without trigonometry: ``c = sqrt((1 + z) / 2)``, which is at least
+    ``1 / sqrt(2)`` on the upper hemisphere, and ``e = (x - i y) / (2 c)``.
     """
+    scale = np.where(v[..., 2] < 0.0, -1.0, 1.0) / np.sqrt((v * v).sum(axis=-1))
+    axes = v * scale[..., None]
     c = np.sqrt((1.0 + axes[..., 2]) / 2.0)
     e = (axes[..., 0] - 1j * axes[..., 1]) / (2.0 * c)
     u = np.empty(c.shape + (2, 2), dtype=np.complex128)
     u[..., 0, 0] = u[..., 1, 1] = c
     u[..., 0, 1] = e
     u[..., 1, 0] = -e.conj()
-    return u
+    return u, scale
 
 
 def _measured_distribution(
@@ -190,6 +186,80 @@ def _measured_distribution(
     return out[:, :main], out[:, main:].reshape(n_stack, n, main // 2)
 
 
+# Most density-matrix entries one kernel call may hold across its stack, so
+# that memory is bounded by N alone. 2^15 complex entries (512 KiB) keep a
+# call's working set in a 2 MiB L2 cache; larger stacks spill it. Per start,
+# a stack of four cost 1.3x a single start at N = 7, and a stack of three
+# 1.4x at N = 8, while stacks at N <= 6 cost less per start than one.
+_KERNEL_ENTRIES = 2**15
+# Column b is sigma_b^T flattened, so that a.ravel() @ _PAULI_TRACE gives
+# tr(sigma_b a) for b = x, y, z.
+_PAULI_TRACE = np.stack([p.T.ravel() for p in (PAULI_X, PAULI_Y, PAULI_Z)], axis=1)
+
+
+def _entropy_objective(rho_mat: np.ndarray, marginal: bool):
+    """Values and gradients of ``H(q) - sum_j H(q_j)`` over a stack of points.
+
+    Each row ``x = [v_0, v_1, ...]`` measures qubit j along
+    ``n_j = v_j / |v_j|``; q is the measured distribution and q_j qubit j's
+    measured marginal. With ``marginal=False`` the marginal term is left out.
+
+    Turning n_j along the tangent frame vector ``t_x`` (``t_y``) of its
+    unitary moves ``q_(y,0_j)`` by ``Re c_j(y)`` (``-Im c_j(y)``) and
+    ``q_(y,1_j)`` by the opposite, where c_j are the kernel's coherences. So
+    with ``L_j(y) = log2(q_(y,0_j) / q_(y,1_j))`` and
+    ``s_j = sum_y L_j(y) c_j(y)`` the tangent gradient of H(q) is
+    ``-Re s_j t_x + Im s_j t_y = -Re(s_j (t_x + i t_y))``. The marginal term
+    subtracts ``log2(q_j0 / q_j1)`` from every ``L_j(y)``. The gradient in
+    ``v_j`` is the tangent gradient divided by ``|v_j|``.
+
+    The stack is cut into calls of at most ``_KERNEL_ENTRIES`` matrix
+    entries, which bounds memory by N alone; every operation is row-wise,
+    so the cut does not change a row's result.
+    """
+    n = int(rho_mat.shape[0]).bit_length() - 1
+    # idx[x, j, y]: position in q of the outcome with qubit j at x and the
+    # other qubits at y, in the order of the kernel's c_j(y).
+    cube = np.arange(2**n).reshape((2,) * n)
+    idx = np.array([[np.take(cube, x, j).ravel() for j in range(n)] for x in (0, 1)])
+
+    def value_and_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # scale = +-1 / |v_j| takes v_j to the measured axis, the one of
+        # +-n_j with z >= 0; the tangent gradient there is scaled back by it.
+        unitaries, scale = _unitaries(x.reshape(len(x), n, 3))
+        q, c = _measured_distribution(rho_mat, unitaries, coherences=True)
+        q = q.real
+        value = _entropy_bits(q)
+        # np.take keeps each row contiguous, and so each row's sums in one
+        # order whatever the stack; q[:, idx] does not.
+        log_q = np.take(np.log2(np.maximum(q, _TINY)), idx, axis=1)
+        ratio = log_q[:, 0] - log_q[:, 1]
+        if marginal:
+            p = np.take(q, idx, axis=1).sum(axis=-1)
+            value -= _entropy_bits(p.reshape(len(x), 2 * n))
+            log_p = np.log2(np.maximum(p, _TINY))
+            ratio -= (log_p[:, 0] - log_p[:, 1])[..., None]
+        s = (ratio * c).sum(axis=-1)
+        # t_x + i t_y is the Bloch vector of a = u_j^dagger |0><1| u_j, whose
+        # entries are a_kl = conj(u_0k) u_1l.
+        a = unitaries[..., 0, :, None].conj() * unitaries[..., 1, None, :]
+        grad = (s[..., None] * (a.reshape(len(x), n, 4) @ _PAULI_TRACE)).real
+        return value, (grad * -scale[..., None]).reshape(len(x), 3 * n)
+
+    rows_per_call = max(1, _KERNEL_ENTRIES >> (2 * n))
+
+    def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(x) <= rows_per_call:
+            return value_and_grad(x)
+        parts = [
+            value_and_grad(x[i : i + rows_per_call])
+            for i in range(0, len(x), rows_per_call)
+        ]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+    return fun
+
+
 def pinch_matrix(mat, directions) -> np.ndarray:
     """Pinching of an arbitrary square matrix along per-qubit directions.
 
@@ -206,7 +276,7 @@ def pinch_matrix(mat, directions) -> np.ndarray:
         raise ValueError(
             f"matrix shape {a.shape} does not match {n} measurement directions"
         )
-    unitaries = _rotations_to_z(directions)
+    unitaries, _ = _unitaries(np.array([d.as_array() for d in directions]))
     t = _measured_distribution(a, unitaries[None])[0].reshape(d, 1, 1)
     for u in unitaries[::-1]:
         b, r = t.shape[0] // 2, t.shape[1]
@@ -238,19 +308,14 @@ def measurement_objective(rho: DensityMatrix, m: LocalMeasurement) -> float:
 
     Nonnegative for every measurement; its minimum over all local
     measurements is the global quantum discord. ``Phi(rho)`` is diagonal in
-    the rotated product basis, so ``I(Phi(rho)) = sum_j H(q_j) - H(q)`` for
-    the kernel's outcome distribution ``q`` and its one-qubit marginals
-    ``q_j``; no dense matrix is built or diagonalized.
+    the rotated product basis, so ``I(Phi(rho)) = sum_j H(q_j) - H(q)``;
+    this is ``I(rho)`` plus the numeric optimizer's own objective
+    (:func:`_entropy_objective`) at the stacked directions.
     """
     _check_covers(rho, m)
-    n = m.n_qubits
-    q = _measured_distribution(rho.matrix, _rotations_to_z(m.directions)[None])[0].real
-    cube = q.reshape((2,) * n)
-    marginals = sum(
-        _entropy_bits(cube.sum(axis=tuple(k for k in range(n) if k != j)))
-        for j in range(n)
-    )
-    return mutual_information(rho) - float(marginals - _entropy_bits(q))
+    x = np.array([d.as_array() for d in m.directions]).reshape(1, -1)
+    value, _ = _entropy_objective(rho.matrix, marginal=True)(x)
+    return mutual_information(rho) + float(value[0])
 
 
 def relative_entropy_objective(rho: DensityMatrix, m: LocalMeasurement) -> float:

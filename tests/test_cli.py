@@ -94,6 +94,51 @@ class TestStateDocuments:
             state_document_from_dict({"kind": "werner_ghz", "n_qubits": n, "mu": 0.5})
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(
+                '{"kind": "dense", "n_qubits": 1, "matrix": [{"a": 1}, {"b": 2}]}',
+                id="dict-entries",
+            ),
+            pytest.param(
+                '{"kind": "dense", "n_qubits": 2, "matrix": [[1, [2, 3]]]}',
+                id="ragged-matrix",
+            ),
+            pytest.param(
+                '{"kind": "dense", "n_qubits": %s, "matrix": [[[1, 0]]]}' % ("9" * 401),
+                id="huge-n-qubits",
+            ),
+            pytest.param(
+                '{"kind": "werner_ghz", "n_qubits": 2, "mu": %s}' % ("1" * 401),
+                id="mu-huge",
+            ),
+            pytest.param(
+                '{"kind": "werner_ghz", "n_qubits": 2, "mu": true}', id="mu-true"
+            ),
+            *(
+                pytest.param(
+                    '{"kind": "pauli_diagonal", "n_qubits": 2, %s}'
+                    % ", ".join(f'"c{k}": {value if k == j else 0}' for k in (1, 2, 3)),
+                    id=f"c{j}-{name}",
+                )
+                for j in (1, 2, 3)
+                for name, value in (("huge", "-" + "1" * 401), ("true", "true"))
+            ),
+            pytest.param("[" * 100000 + "]" * 100000, id="deep-nesting"),
+        ],
+    )
+    def test_malformed_values_exit_2_without_traceback(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DocumentError):
+            load_state_document(str(path))
+        code, out, err = run_cli(capsys, "compute", "--input", str(path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestCompute:
     def test_closed_form_route(self, tmp_path, capsys):
         doc = write_doc(tmp_path / "w.json", {"kind": "werner_ghz", "n_qubits": 3, "mu": 0.5})
@@ -210,6 +255,36 @@ class TestCompute:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("method", ["auto", "closed"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "werner_ghz", "n_qubits": 3, "mu": 0.5},
+            {"kind": "pauli_diagonal", "n_qubits": 2, "c1": 0.5, "c2": 0.1, "c3": 0.2},
+        ],
+    )
+    @pytest.mark.parametrize("flag, value", [("--starts", "5"), ("--tol", "1e-3")])
+    def test_closed_route_rejects_optimizer_flags(
+        self, tmp_path, capsys, method, doc, flag, value
+    ):
+        path = write_doc(tmp_path / "doc.json", doc)
+        code, out, err = run_cli(
+            capsys, "compute", "--input", path, "--method", method, flag, value
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize("method", ["numeric", "closed"])
+    def test_rejects_negative_seed(self, tmp_path, capsys, method):
+        doc = write_doc(tmp_path / "w.json", {"kind": "werner_ghz", "n_qubits": 2, "mu": 0.5})
+        code, out, err = run_cli(
+            capsys, "compute", "--input", doc, "--method", method, "--seed", "-1"
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "seed" in err
 
     def test_seed_changes_are_recorded(self, tmp_path, capsys):
         doc = write_doc(tmp_path / "w.json", {"kind": "werner_ghz", "n_qubits": 2, "mu": 0.3})

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gqd import discord
+from gqd import measurement
 from gqd.checks import random_valid_pauli_params
 from gqd.discord import (
     GqdResult,
@@ -16,7 +16,6 @@ from gqd.discord import (
     QubitLimitError,
     WernerGhzParams,
     _GRAD_TOL,
-    _entropy_objective,
     _run_starts,
     _start_points,
     ghz_vector,
@@ -31,7 +30,12 @@ from gqd.discord import (
     validate_pauli_params,
     werner_ghz_state,
 )
-from gqd.measurement import LocalMeasurement, measurement_objective
+from gqd.measurement import (
+    LocalMeasurement,
+    _entropy_objective,
+    measurement_objective,
+    relative_entropy_objective,
+)
 from gqd.qcore import (
     BlochVector,
     DensityMatrix,
@@ -393,7 +397,7 @@ class TestObjectiveGradient:
         x = rng.normal(size=9)
         v = x.reshape(3, 3) / np.linalg.norm(x.reshape(3, 3), axis=1)[:, None]
         m = LocalMeasurement(tuple(BlochVector(*map(float, row)) for row in v))
-        want = measurement_objective(rho, m) - mutual_information(rho)
+        want = relative_entropy_objective(rho, m) - mutual_information(rho)
         assert abs(fun(x)[0] - want) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -485,6 +489,16 @@ class TestOptimizerOptions:
             {"starts": 0},
             {"starts": -1},
             {"threads": -1},
+            {"seed": -1},
+            {"starts": 2.5},
+            {"seed": 1.5},
+            {"seed": None},
+            {"seed": True},
+            {"max_qubits": "a"},
+            {"max_evals_per_start": 10.0},
+            {"threads": 1.0},
+            {"f_tol": "a"},
+            {"f_tol": True},
         ],
     )
     def test_rejects_out_of_range_values(self, kwargs):
@@ -567,7 +581,7 @@ class TestStackedStarts:
         points = _start_points(n, opts)
         results = []
         for budget in (4**n, 2 * 4**n, 2**40):
-            monkeypatch.setattr(discord, "_KERNEL_ENTRIES", budget)
+            monkeypatch.setattr(measurement, "_KERNEL_ENTRIES", budget)
             fun = _entropy_objective(rho.matrix, marginal=True)
             values, grads = fun(np.array(points))
             res, _, _ = _run_starts(fun, points, opts, offset=0.0)
