@@ -99,17 +99,28 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _parse_matrix(raw, n_qubits: int) -> np.ndarray:
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DocumentError(f"dense matrix is not a grid of numbers: {exc}") from None
+    grid = np.asarray(raw, dtype=object)
     # No array has 2^64 rows, so a larger n_qubits is never raised to 2**n.
     d = 2 ** min(n_qubits, 64)
     _require(
-        arr.shape == (d, d, 2),
+        grid.shape == (d, d, 2),
         f"dense matrix must be a 2^{n_qubits} x 2^{n_qubits} grid of [re, im] "
-        f"pairs, got shape {arr.shape}",
+        f"pairs, got shape {grid.shape}",
     )
+    # float() would take strings and booleans too. The entry types are
+    # collected in one pass at C speed, as documents may be large.
+    others = {
+        t for t in set(map(type, grid.flat)) if t is bool or not issubclass(t, (int, float))
+    }
+    _require(
+        not others,
+        "dense matrix entries must be JSON numbers, got "
+        + ", ".join(sorted(t.__name__ for t in others)),
+    )
+    try:
+        arr = grid.astype(float)
+    except OverflowError as exc:
+        raise DocumentError(f"dense matrix entry beyond the float range: {exc}") from None
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -181,12 +192,15 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+# Each optional optimizer flag of `compute` with its OptimizerOptions field.
+_OPTIMIZER_FLAGS = {"starts": "starts", "tol": "f_tol", "max_n": "max_qubits"}
+
+
 def _optimizer_options(args) -> OptimizerOptions:
-    kwargs = {"seed": args.seed, "max_qubits": args.max_n}
-    if args.starts is not None:
-        kwargs["starts"] = args.starts
-    if args.tol is not None:
-        kwargs["f_tol"] = args.tol
+    kwargs = {"seed": args.seed}
+    for flag, field in _OPTIMIZER_FLAGS.items():
+        if getattr(args, flag) is not None:
+            kwargs[field] = getattr(args, flag)
     return OptimizerOptions(**kwargs)
 
 
@@ -215,18 +229,18 @@ def cmd_compute(args) -> int:
         method = "numeric" if doc.kind == "dense" else "closed"
     t0 = time.perf_counter()
     if method == "closed":
-        for flag in ("starts", "tol"):
+        for flag in _OPTIMIZER_FLAGS:
             _require(
                 getattr(args, flag) is None,
-                f"--{flag} applies only to the numeric method",
+                f"--{flag.replace('_', '-')} applies only to the numeric method",
             )
         value, tag = doc.closed_form()
         result = GqdResult(value=max(value, 0.0), method=tag)
     else:
-        if doc.n_qubits > args.max_n:
+        if doc.n_qubits > opts.max_qubits:
             raise QubitLimitError(
                 f"document has {doc.n_qubits} qubits, above the dense limit "
-                f"of {args.max_n}"
+                f"of {opts.max_qubits}"
             )
         result = gqd_numeric(doc.to_density_matrix(), opts)
     record = _result_record(result, args.seed, time.perf_counter() - t0)
@@ -353,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=None, help="optimizer objective tolerance"
     )
     p_compute.add_argument(
-        "--max-n", type=int, default=12, help="dense qubit limit (default 12)"
+        "--max-n", type=int, default=None,
+        help="dense qubit limit of the numeric method (default 12)",
     )
     p_compute.set_defaults(func=cmd_compute)
 

@@ -16,6 +16,7 @@ does not depend on which other rows share its stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,9 @@ _LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
 _STPMAX = 1e10
 _MAX_TRIALS = 20
 _EPS = np.finfo(float).eps
-# Columns of the dcsrch state: the value, the slope and the sufficient-
-# decrease slope at the search's start; the best step stx and the interval's
-# other end sty with their values and slopes; the step bounds; the
-# interval's last two widths.
-(_FINIT, _GINIT, _GTEST, _STX, _FX, _GX, _STY, _FY, _GY,
- _STMIN, _STMAX, _WIDTH, _WIDTH1) = range(13)
-_LS_FIELDS = _WIDTH1 + 1
+# Columns of the line-search start: the value, the slope and the sufficient-
+# decrease slope at step 0.
+_FINIT, _GINIT, _GTEST = range(3)
 
 
 @dataclass(frozen=True)
@@ -80,25 +77,29 @@ def minimize_stacked(fun, x0, max_evals: int, f_tol: float, g_tol: float) -> Sta
         converged=np.abs(g).max(axis=1) <= g_tol,
     )
     runs = _Runs(np.flatnonzero(~out.converged), out)
-    runs.retire(runs.start_search(np.ones(runs.rows.size, dtype=bool)), out)
+    stuck = runs.start_search(np.ones(runs.rows.size, dtype=bool))
+    # The very first step of a row has length 1; later ones start at the
+    # full quasi-Newton step.
+    with np.errstate(divide="ignore"):  # d = 0 only on stuck rows
+        runs.stp = np.minimum(1.0 / np.sqrt((runs.d * runs.d).sum(axis=1)), _STPMAX)
+    runs.retire(stuck, np.zeros_like(stuck), out)
     while runs.rows.size:
         x_trial = runs.x + runs.stp[:, None] * runs.d
         f_trial, g_trial = fun(x_trial)
         runs.nfev += 1
-        runs.trials += 1
         slope = (g_trial * runs.d).sum(axis=1)
-        ended = runs.search_step(f_trial, slope)
-        failed = ~ended & (runs.trials >= _MAX_TRIALS)
-        stop = runs.accept(ended, x_trial, f_trial, g_trial, slope, max_evals, f_tol, g_tol)
+        ended, failed = runs.search_step(f_trial, slope)
+        stop, converged = runs.accept(ended, x_trial, f_trial, g_trial, slope, max_evals, f_tol, g_tol)
         # A failed search leaves the row at its last accepted point. With
         # pairs in memory it restarts along -g; without, it gives up.
-        if np.count_nonzero(failed):
-            fresh = failed & (runs.col == 0)
-            stop |= fresh
-            runs.forget(failed & ~fresh)
-            ended |= failed
+        if failed:
+            failed = np.array(failed)
+            fresh = runs.col[failed] == 0
+            stop[failed[fresh]] = True
+            runs.forget(failed[~fresh])
+            ended[failed] = True
         stop |= runs.start_search(ended & ~stop)
-        runs.retire(stop, out)
+        runs.retire(stop, converged, out)
     return out
 
 
@@ -109,10 +110,8 @@ class _Runs:
         self.rows = rows  # indices into the full stack
         self.x, self.f, self.g = out.x[rows], out.fun[rows], out.jac[rows]
         self.nit, self.nfev = out.nit[rows], out.nfev[rows]
-        self.converged = out.converged[rows]
         n, dim = self.x.shape
-        self.d = np.zeros((n, dim))
-        self.stp, self.trials = np.zeros(n), np.zeros(n, dtype=int)
+        self.d, self.stp = np.zeros((n, dim)), np.zeros(n)
         # Memory in the compact form of Byrd, Nocedal & Schnabel (1994), oldest
         # pair first and zero past the `col` valid pairs: the pairs (s_i, y_i)
         # of steps and gradient changes, s_i.y_i, the Gram matrix y_i.y_j, and
@@ -124,19 +123,21 @@ class _Runs:
         self.r_inv = np.zeros((n, _MEMORY, _MEMORY))
         self.col = np.zeros(n, dtype=int)
         self.h0 = np.ones(n)
-        # dcsrch state, columns indexed by _FINIT ... _WIDTH1.
-        self.ls = np.zeros((n, _LS_FIELDS))
-        self.brackt, self.stage1 = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+        # Each line search's start, columns _FINIT, _GINIT and _GTEST, and the
+        # rest of its dcsrch state once a trial has not ended it (else None):
+        # see _next_trial.
+        self.ls = np.zeros((n, 3))
+        self.search = np.empty(n, dtype=object)
 
-    def retire(self, stop: np.ndarray, out: StackedResult) -> None:
+    def retire(self, stop: np.ndarray, converged: np.ndarray, out: StackedResult) -> None:
         """Write the stopped rows to ``out`` and drop them from the stack."""
         if not np.count_nonzero(stop):
             return
         rows = self.rows[stop]
         out.x[rows], out.fun[rows], out.jac[rows] = self.x[stop], self.f[stop], self.g[stop]
         out.nit[rows], out.nfev[rows] = self.nit[stop], self.nfev[stop]
-        out.converged[rows] = self.converged[stop]
-        keep = ~stop
+        out.converged[rows] = converged[stop]
+        keep = np.flatnonzero(~stop)
         for name, value in vars(self).items():
             setattr(self, name, value[keep])
 
@@ -149,46 +150,49 @@ class _Runs:
     def accept(self, ended, x_trial, f_trial, g_trial, slope, max_evals, f_tol, g_tol):
         """Move the rows whose search ended to their trial points.
 
-        Applies the stopping tests, records the converged flag, and adds the
-        new pair to the memory of each row that goes on, unless its
-        curvature ``s.y`` is not positive. Returns the stop mask.
+        Applies the stopping tests, and adds the new pair to the memory of
+        each row that goes on, unless its curvature ``s.y`` is not positive.
+        Returns the masks of the rows that stop and of those that converged.
         """
-        stp, ginit, f_old = self.stp, self.ls[:, _GINIT], self.f
-        # s.y from the line search's slopes, as L-BFGS-B computes it.
-        sy = (slope - ginit) * stp
-        curved = sy > _EPS * (-ginit * stp)
-        y = g_trial - self.g
+        f_old = self.f
         scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f_trial)), 1.0)
         capped = ended & (self.nfev > max_evals)
-        self.converged = (ended & ~capped) & (
+        converged = (ended & ~capped) & (
             (np.abs(g_trial).max(axis=1) <= g_tol) | (f_old - f_trial <= f_tol * scale)
         )
-        stop = capped | self.converged
+        stop = capped | converged
+        go_on = ended & ~stop
+        if np.count_nonzero(go_on):
+            stp, ginit = self.stp, self.ls[:, _GINIT]
+            # s.y from the line search's slopes, as L-BFGS-B computes it.
+            sy = (slope - ginit) * stp
+            k = np.flatnonzero(go_on & (sy > _EPS * (-ginit * stp)))
+            if k.size:
+                self._remember(k, stp[k, None] * self.d[k], (g_trial - self.g)[k], sy[k])
         np.copyto(self.x, x_trial, where=ended[:, None])
         np.copyto(self.f, f_trial, where=ended)
         np.copyto(self.g, g_trial, where=ended[:, None])
         self.nit += ended
-        k = np.flatnonzero(ended & ~stop & curved)
-        if k.size:
-            self._remember(k, stp[k, None] * self.d[k], y[k], sy[k])
-        return stop
+        return stop, converged
 
     def _remember(self, k, s, y, sy) -> None:
         """Append the pair (s, y) with curvature sy to the memory of rows k,
         dropping the oldest pair of a full memory."""
-        full = k[self.col[k] == _MEMORY]
+        c = self.col[k]
+        full = k[c == _MEMORY]
         if full.size:
             # R and the Gram matrix of the newer pairs are the trailing
-            # blocks, and so is the inverse of R, as R is triangular.
+            # blocks, and so is the inverse of R, as R is triangular. The
+            # freed slot of each memory is written below. R^-1 also needs
+            # zeros in its last row, below its diagonal, and in its last
+            # column, from which its new column is computed.
             for mem in (self.pairs, self.sy_mem):
                 mem[full, :-1] = mem[full, 1:]
-                mem[full, -1] = 0.0
             for mat in (self.yy_mem, self.r_inv):
                 mat[full, :-1, :-1] = mat[full, 1:, 1:]
-                mat[full, -1] = mat[full, :, -1] = 0.0
-            self.col[full] -= 1
-        c = self.col[k]
-        self.pairs[k, c] = np.stack([s, y], axis=1)
+            self.r_inv[full, -1] = self.r_inv[full, :, -1] = 0.0
+            c = np.minimum(c, _MEMORY - 1)
+        self.pairs[k, c, 0], self.pairs[k, c, 1] = s, y
         self.sy_mem[k, c] = sy
         # (s_i.y, y_i.y) for every slot, the new one included.
         dots = (self.pairs[k] @ y[:, None, :, None])[..., 0]
@@ -204,39 +208,30 @@ class _Runs:
         self.h0[k] = sy / yy[rows, c]
 
     def start_search(self, start: np.ndarray) -> np.ndarray:
-        """New direction and dcsrch start for the rows in the mask ``start``.
+        """New direction, unit step and dcsrch start for the rows in the mask
+        ``start``.
 
         Directions are computed for every row and kept for those in
         ``start``. Returns the mask of the rows that cannot descend: their
         direction is not downhill even with an empty memory.
         """
+        if not np.count_nonzero(start):
+            return start
         g = self.g
         d = self._descent(g)
         gd = (g * d).sum(axis=1)
-        uphill = start & (gd >= 0.0)
+        stuck = uphill = start & (gd >= 0.0)
         if np.count_nonzero(uphill):
             # L-BFGS-B drops its memory and steps along -g instead.
             self.forget(uphill & (self.col > 0))
             d[uphill] = -g[uphill]
             gd[uphill] = (g[uphill] * d[uphill]).sum(axis=1)
-        # The very first step of a row has length 1; later ones start at the
-        # full quasi-Newton step.
-        with np.errstate(divide="ignore"):  # d = 0 only on rows that have stopped
-            first = np.minimum(1.0 / np.sqrt((d * d).sum(axis=1)), _STPMAX)
-        stp = np.where(self.nit == 0, first, 1.0)
+            stuck = uphill & ~(gd < 0.0)
         np.copyto(self.d, d, where=start[:, None])
-        np.copyto(self.stp, stp, where=start)
-        self.trials[start] = 0
-        ls = np.zeros_like(self.ls)
-        ls[:, [_FINIT, _FX, _FY]] = self.f[:, None]
-        ls[:, [_GINIT, _GX, _GY]] = gd[:, None]
-        ls[:, _GTEST] = _LS_FTOL * gd
-        ls[:, _STMAX] = 5.0 * stp
-        ls[:, _WIDTH], ls[:, _WIDTH1] = _STPMAX, 2.0 * _STPMAX
-        np.copyto(self.ls, ls, where=start[:, None])
-        self.brackt &= ~start
-        self.stage1 |= start
-        return uphill & ~(gd < 0.0)
+        np.copyto(self.stp, 1.0, where=start)
+        np.copyto(self.ls, np.array((self.f, gd, _LS_FTOL * gd)).T, where=start[:, None])
+        self.search[start] = None
+        return stuck
 
     def _descent(self, g: np.ndarray) -> np.ndarray:
         """``-H g`` from the compact form of each row's memory.
@@ -255,130 +250,189 @@ class _Runs:
         hg = self.pairs.reshape(n, 2 * _MEMORY, dim).transpose(0, 2, 1) @ coef.reshape(n, 2 * _MEMORY, 1)
         return -(h0[..., 0] * g + hg[..., 0])
 
-    def search_step(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def search_step(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """One dcsrch call per row, after evaluating it at its trial step.
 
         ``f`` and ``g`` are the value and the slope along the direction at
-        ``stp``. Returns the rows whose search has ended (converged, or
-        stopped by a MINPACK-2 warning at their current step); the others
-        get their next trial step in ``stp``.
+        ``stp``. Returns the mask of the rows whose search has ended
+        (converged, or stopped by a MINPACK-2 warning at their current step)
+        and the rows whose search failed, out of trials. The others get their
+        next trial step in ``stp``.
         """
-        stp, ls = self.stp, self.ls
-        ftest = ls[:, _FINIT] + stp * ls[:, _GTEST]
-        decrease = f <= ftest
-        ended = decrease & (np.abs(g) <= _LS_GTOL * -ls[:, _GINIT])
-        # MINPACK-2's warnings, which end a search at the current step: no
-        # room left in the bracket, or a step at its bound.
-        if np.count_nonzero(self.brackt):
-            stmin, stmax = ls[:, _STMIN], ls[:, _STMAX]
-            ended |= self.brackt & (
-                (stp <= stmin) | (stp >= stmax) | (stmax - stmin <= _LS_XTOL * stmax)
-            )
-        if np.count_nonzero((stp == _STPMAX) | (stp == 0.0)):
-            ended |= (stp == _STPMAX) & decrease & (g <= ls[:, _GTEST])
-            ended |= (stp == 0.0) & (~decrease | (g >= ls[:, _GTEST]))
-        go = np.flatnonzero(~ended)
-        if go.size:
+        ls = self.ls
+        ftest = ls[:, _FINIT] + self.stp * ls[:, _GTEST]
+        ended = (f <= ftest) & (np.abs(g) <= _LS_GTOL * -ls[:, _GINIT])
+        failed = []
+        if np.count_nonzero(ended) < ended.size:
             # Infinite values and zero-width steps are legal inputs here.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                self._next_trial(go, f[go], g[go], ftest[go])
-        return ended
+                for i in np.flatnonzero(~ended).tolist():
+                    if self._next_trial(i, f[i], g[i], ftest[i]):
+                        ended[i] = True
+                    elif self.search[i][0] >= _MAX_TRIALS:
+                        failed.append(i)
+        return ended, failed
 
-    def _next_trial(self, go, f, g, ftest) -> None:
-        """The rest of dcsrch for the rows ``go`` whose search goes on."""
-        _, _, gtest, stx, fx, gx, sty, fy, gy, stmin, stmax, width, width1 = self.ls[go].T
-        stp, brackt = self.stp[go], self.brackt[go]
-        stage1 = self.stage1[go] & ~((f <= ftest) & (g >= 0.0))
+    def _next_trial(self, i: int, f, g, ftest):
+        """The rest of dcsrch for row ``i``, whose trial step did not converge.
+
+        ``f``, ``g`` and ``ftest`` are ``np.float64`` scalars. Returns True
+        when a MINPACK-2 warning ends the search at its current step. Else
+        the row's next trial step goes to ``stp``, and its dcsrch state,
+        which starts with the count of trials made, to ``search``.
+        """
+        stp, (finit, ginit, gtest) = self.stp[i], self.ls[i]
+        state = self.search[i]
+        if state is None:
+            state = (0, 0.0, finit, ginit, 0.0, finit, ginit, 0.0, 5.0 * stp,
+                     _STPMAX, 2.0 * _STPMAX, False, True)
+        trials, stx, fx, gx, sty, fy, gy, stmin, stmax, width, width1, brackt, stage1 = state
+        decrease = f <= ftest
+        # MINPACK-2's warnings: no room left in the bracket, or a step at its
+        # bound.
+        if (brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax)
+                or stp == _STPMAX and decrease and g <= gtest
+                or stp == 0.0 and (not decrease or g >= gtest)):
+            return True
+        stage1 = stage1 and not (decrease and g >= 0.0)
         # In stage 1, a lower value without sufficient decrease steps on the
         # modified function f(stp) - stp * gtest; `shift` is 0 elsewhere.
-        shift = np.where(stage1 & (f <= fx) & (f > ftest), gtest, 0.0)
+        shift = gtest if stage1 and f <= fx and f > ftest else 0.0
         stx, fx, gx, sty, fy, gy, new, brackt = _dcstep(
             stx, fx - stx * shift, gx - shift, sty, fy - sty * shift, gy - shift,
             stp, f - stp * shift, g - shift, brackt, stmin, stmax,
         )
         fx, gx, fy, gy = fx + stx * shift, gx + shift, fy + sty * shift, gy + shift
-        # Bisect when a bracket did not shrink enough over two steps.
-        span = np.abs(sty - stx)
-        new = np.where(brackt & (span >= 0.66 * width1), stx + 0.5 * (sty - stx), new)
-        width1 = np.where(brackt, width, width1)
-        width = np.where(brackt, span, width)
-        stmin = np.where(brackt, np.minimum(stx, sty), new + 1.1 * (new - stx))
-        stmax = np.where(brackt, np.maximum(stx, sty), new + 4.0 * (new - stx))
-        # fmax/fmin drop a NaN step in favour of the bound, as C's fmax does.
-        new = np.fmin(np.fmax(new, 0.0), _STPMAX)
+        if brackt:
+            # Bisect when the bracket did not shrink enough over two steps.
+            span = abs(sty - stx)
+            if span >= 0.66 * width1:
+                new = stx + 0.5 * (sty - stx)
+            width1, width = width, span
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = new + 1.1 * (new - stx), new + 4.0 * (new - stx)
+        new = _fmin(_fmax(new, 0.0), _STPMAX)
         # Without room for progress, fall back to the best step so far.
-        stuck = brackt & ((new <= stmin) | (new >= stmax) | (stmax - stmin <= _LS_XTOL * stmax))
-        self.stp[go] = np.where(stuck, stx, new)
-        self.ls[go, _STX:] = np.stack([stx, fx, gx, sty, fy, gy, stmin, stmax, width, width1], axis=1)
-        self.brackt[go], self.stage1[go] = brackt, stage1
+        if brackt and (new <= stmin or new >= stmax or stmax - stmin <= _LS_XTOL * stmax):
+            new = stx
+        self.stp[i] = new
+        self.search[i] = (trials + 1, stx, fx, gx, sty, fy, gy, stmin, stmax, width, width1,
+                          brackt, stage1)
+        return False
 
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
-    """MINPACK-2 ``dcstep`` on arrays: a safeguarded trial step, and the update
-    of the interval between ``stx`` (the best step) and ``sty``.
+    """MINPACK-2 ``dcstep``: a safeguarded trial step, and the update of the
+    interval between ``stx`` (the best step) and ``sty``.
 
     Returns the new ``stx, fx, dx, sty, fy, dy``, the trial step and the
-    bracketing flag. Each entry takes the step of its own case of the
-    original. Square roots take a rounding-level negative argument as 0.
+    bracketing flag, as SciPy's ``scipy.optimize._dcsrch.dcstep`` does. The
+    floats are ``np.float64`` scalars, so that a division by zero gives inf
+    or NaN under the caller's ``np.errstate``. Three details differ from
+    SciPy's port, and the results pinned in the tests depend on them:
+    squares are products (``**`` can round the last bit otherwise), every
+    square root takes a rounding-level negative argument as 0, and in case 1
+    a tie between the cubic and the quadratic step takes their average, as
+    in MINPACK.
     """
-    higher = fp > fx  # case 1: a higher value brackets the minimum
-    opposite = ~higher & (dp * np.sign(dx) < 0.0)  # case 2: so do opposite slopes
-    shrinking = ~higher & ~opposite & (np.abs(dp) < np.abs(dx))  # case 3
-    beyond = ~(higher | opposite | shrinking)  # case 4
-    ahead = stp > stx
-    toward = np.where(ahead, stpmax, stpmin)
-    # Each case's step is computed only when some entry is in that case.
-    step = toward
-    if np.count_nonzero(beyond):
-        # The cubic step through (sty, fy, dy) and (stp, fp, dp) once
-        # bracketed, else the step bound.
-        theta, gamma = _cubic(sty, fy, dy, stp, fp, dp, stp > sty)
-        cubic = stp + ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy) * (sty - stp)
-        step = np.where(beyond & brackt, cubic, step)
-    if np.count_nonzero(~beyond):
-        # The cubic through (stx, fx, dx) and (stp, fp, dp); its root's sign
-        # follows the side of stp, mirrored in case 1.
-        theta, gamma = _cubic(stx, fx, dx, stp, fp, dp, higher ^ ahead)
-    if np.count_nonzero(higher):
-        # The cubic step if it is closer to stx than the quadratic step,
-        # else their average.
-        cubic = stx + ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp) * (stp - stx)
-        quad = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
-        closer = np.abs(cubic - stx) < np.abs(quad - stx)
-        step = np.where(higher, np.where(closer, cubic, cubic + (quad - cubic) / 2.0), step)
-    if np.count_nonzero(opposite | shrinking):
+    opposite = dp < 0.0 < dx or dx < 0.0 < dp  # slopes of opposite signs
+    if fp > fx:
+        # Case 1: a higher value brackets the minimum. Take the cubic step if
+        # it is closer to stx than the quadratic step, else their average.
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _gamma(theta, dx, dp)
+        if stp < stx:
+            gamma = -gamma
+        p = (gamma - dx) + theta
+        q = ((gamma - dx) + gamma) + dp
+        stpc = stx + p / q * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        if abs(stpc - stx) < abs(stpq - stx):
+            stpf = stpc
+        else:
+            stpf = stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:
+        # Case 2: opposite slopes bracket the minimum. Take the cubic step if
+        # it is farther from stp than the secant step, else the secant step.
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _gamma(theta, dx, dp)
+        if stp > stx:
+            gamma = -gamma
         p = (gamma - dp) + theta
-        secant = stp + (dp / (dp - dx)) * (stx - stp)
-    if np.count_nonzero(opposite):
-        # The cubic step if it is farther from stp than the secant step.
-        cubic = stp + p / (((gamma - dp) + gamma) + dx) * (stx - stp)
-        farther = np.abs(cubic - stp) > np.abs(secant - stp)
-        step = np.where(opposite, np.where(farther, cubic, secant), step)
-    if np.count_nonzero(shrinking):
-        # The cubic step only if the cubic tends to infinity in the
-        # direction of the step; then the closer of it and the secant step,
-        # kept within 0.66 of the interval, once bracketed, else the farther.
-        r = p / ((gamma + (dx - dp)) + gamma)
-        cubic = np.where((r < 0.0) & (gamma != 0.0), stp + r * (stx - stp), toward)
-        limit = stp + 0.66 * (sty - stp)
-        inside = np.where(np.abs(cubic - stp) < np.abs(secant - stp), cubic, secant)
-        inside = np.where(ahead, np.fmin(limit, inside), np.fmax(limit, inside))
-        outside = np.where(np.abs(cubic - stp) > np.abs(secant - stp), cubic, secant)
-        outside = np.fmin(np.fmax(outside, stpmin), stpmax)
-        step = np.where(shrinking, np.where(brackt, inside, outside), step)
+        q = ((gamma - dp) + gamma) + dx
+        stpc = stp + p / q * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # Case 3: the slope shrinks. Take the cubic step only if the cubic
+        # tends to infinity in the direction of the step; then, once
+        # bracketed, the closer of it and the secant step, kept within 0.66
+        # of the interval, else the farther within the step bounds.
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        gamma = _gamma(theta, dx, dp)
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = (gamma + (dx - dp)) + gamma
+        r = p / q
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        elif stp > stx:
+            stpc = stpmax
+        else:
+            stpc = stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            limit = stp + 0.66 * (sty - stp)
+            stpf = _fmin(limit, stpf) if stp > stx else _fmax(limit, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = _fmin(_fmax(stpf, stpmin), stpmax)
+    elif brackt:
+        # Case 4: the slope does not shrink. Once bracketed, take the cubic
+        # step through (sty, fy, dy) and (stp, fp, dp), else the step bound.
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        gamma = _gamma(theta, dy, dp)
+        if stp > sty:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dy
+        stpf = stp + p / q * (sty - stp)
+    elif stp > stx:
+        stpf = stpmax
+    else:
+        stpf = stpmin
 
     # A higher value becomes the far end; otherwise stp becomes the best
     # step, and with opposite slopes the old best step the far end.
-    sty, fy, dy = (np.where(higher, b, np.where(opposite, a, c))
-                   for a, b, c in ((stx, stp, sty), (fx, fp, fy), (dx, dp, dy)))
-    stx, fx, dx = (np.where(higher, a, b) for a, b in ((stx, stp), (fx, fp), (dx, dp)))
-    return stx, fx, dx, sty, fy, dy, step, brackt | higher | opposite
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
-def _cubic(sa, fa, da, sb, fb, db, flip):
-    """dcstep's ``theta`` and ``gamma`` for the cubic through (sa, fa, da) and
-    (sb, fb, db), with ``gamma`` negated where ``flip``."""
-    theta = 3.0 * (fa - fb) / (sb - sa) + da + db
-    s = np.maximum(np.maximum(np.abs(theta), np.abs(da)), np.abs(db))
-    gamma = s * np.sqrt(np.maximum(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
-    return theta, np.where(flip, -gamma, gamma)
+def _gamma(theta, da, db):
+    """dcstep's ``gamma`` for the cubic with ``theta`` and end slopes ``da``
+    and ``db``, before its sign is chosen."""
+    s = max(abs(theta), abs(da), abs(db))
+    t = theta / s
+    v = t * t - (da / s) * (db / s)
+    # NaN passes through, as np.maximum(0.0, v) lets it.
+    return s * math.sqrt(v if v > 0.0 or v != v else 0.0)
+
+
+def _fmax(a, b):
+    """``np.fmax`` on scalars: the larger, a NaN losing to a number."""
+    return b if a < b or a != a else a
+
+
+def _fmin(a, b):
+    """``np.fmin`` on scalars: the smaller, a NaN losing to a number."""
+    return b if b < a or a != a else a

@@ -164,6 +164,25 @@ def test_compute_on_broken_documents(workdir, doc):
 
 @SETTINGS
 @given(
+    doc=documents().filter(lambda doc: doc["kind"] == "dense"),
+    pick=st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 1)),
+    entry=st.sampled_from([True, False, "0.5", "0", "1e-3"]),
+)
+def test_compute_rejects_dense_entries_that_are_not_numbers(workdir, doc, pick, entry):
+    # float() would read each of these entries as a number.
+    rows = doc["matrix"]
+    i, j, part = pick[0] % len(rows), pick[1] % len(rows), pick[2]
+    rows[i][j][part] = entry
+    path = workdir / "entry.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_main(["compute", "--input", str(path)])
+    assert code == EXIT_INVALID_INPUT, err
+    assert out == ""
+    assert "error:" in err and "JSON numbers" in err
+
+
+@SETTINGS
+@given(
     doc=documents(),
     flags=st.tuples(
         optional("--method", mostly(st.sampled_from(["auto", "numeric", "closed"]), junk_tokens)),

@@ -93,6 +93,18 @@ class TestStateDocuments:
         with pytest.raises(DocumentError, match="n_qubits"):
             state_document_from_dict({"kind": "werner_ghz", "n_qubits": n, "mu": 0.5})
 
+    def test_rejects_strings_and_booleans_as_matrix_entries(self, tmp_path, capsys):
+        # float() reads "0.5" as 0.5 and true as 1.0, so this document would
+        # parse to diag(0.5, 1).
+        matrix = [[["0.5", 0], [0, 0]], [[0, False], [True, 0]]]
+        path = write_doc(tmp_path / "d.json", {"kind": "dense", "n_qubits": 1, "matrix": matrix})
+        with pytest.raises(DocumentError, match="JSON numbers, got bool, str"):
+            load_state_document(path)
+        code, out, err = run_cli(capsys, "compute", "--input", path)
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error:") and "JSON numbers" in err
+
 
     @pytest.mark.parametrize(
         "text",
@@ -235,6 +247,12 @@ class TestCompute:
         assert code == EXIT_QUBIT_LIMIT
         assert "4 qubits" in err
 
+    def test_numeric_route_keeps_the_default_qubit_limit(self, tmp_path, capsys):
+        doc = write_doc(tmp_path / "w13.json", {"kind": "werner_ghz", "n_qubits": 13, "mu": 0.5})
+        code, _, err = run_cli(capsys, "compute", "--input", doc, "--method", "numeric")
+        assert code == EXIT_QUBIT_LIMIT
+        assert "13 qubits, above the dense limit of 12" in err
+
     def test_closed_form_bypasses_qubit_limit(self, tmp_path, capsys):
         doc = write_doc(tmp_path / "w20.json", {"kind": "werner_ghz", "n_qubits": 20, "mu": 0.5})
         code, out, _ = run_cli(capsys, "compute", "--input", doc)
@@ -264,7 +282,9 @@ class TestCompute:
             {"kind": "pauli_diagonal", "n_qubits": 2, "c1": 0.5, "c2": 0.1, "c3": 0.2},
         ],
     )
-    @pytest.mark.parametrize("flag, value", [("--starts", "5"), ("--tol", "1e-3")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--starts", "5"), ("--tol", "1e-3"), ("--max-n", "2")]
+    )
     def test_closed_route_rejects_optimizer_flags(
         self, tmp_path, capsys, method, doc, flag, value
     ):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from gqd import lbfgs
+from gqd.discord import _GRAD_TOL, OptimizerOptions, _start_points
 from gqd.lbfgs import minimize_stacked
+from gqd.measurement import _entropy_objective
+from gqd.qcore import random_density_matrix
 
 STARTS = np.array([
     [-1.2, 1.0, 0.3],
@@ -85,3 +88,138 @@ class TestStackedLbfgs:
             assert abs(res.nit[k] - ref.nit) <= 0.1 * ref.nit + 1, k
             if ref.success:
                 assert np.max(np.abs(res.x[k] - ref.x)) <= 1e-6, k
+
+
+def dcstep_inputs(rng):
+    """Seeded dcstep arguments: its four cases, bracketed and not, with the
+    trial step on either side of the best step."""
+    for case in (1, 2, 3, 4):
+        for brackt in (False, True):
+            for sign in (1.0, -1.0):
+                for _ in range(2):
+                    stx = rng.uniform(0.5, 1.0)
+                    stp = stx + sign * rng.uniform(0.1, 0.4)
+                    # The slope at stx points downhill towards stp.
+                    fx, dx = rng.uniform(-1.0, 1.0), -sign * rng.uniform(0.1, 2.0)
+                    if case == 1:  # a higher value
+                        fp, dp = fx + rng.uniform(0.1, 1.0), rng.uniform(-2.0, 2.0)
+                    else:  # opposite slopes, a shrinking slope, a growing slope
+                        fp = fx - rng.uniform(0.0, 0.1)
+                        scale = {2: -rng.uniform(0.1, 2.0), 3: rng.uniform(0.1, 0.9), 4: rng.uniform(1.1, 3.0)}
+                        dp = dx * scale[case]
+                    sty = stp + sign * rng.uniform(0.1, 0.4)
+                    fy, dy = fx + rng.uniform(0.0, 1.0), sign * rng.uniform(0.1, 2.0)
+                    if brackt:
+                        stpmin, stpmax = min(stx, sty), max(stx, sty)
+                    else:
+                        stpmin, stpmax = sorted((stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)))
+                    floats = map(np.float64, (stx, fx, dx, sty, fy, dy, stp, fp, dp))
+                    yield case, (*floats, brackt, np.float64(stpmin), np.float64(stpmax))
+
+
+def hex_floats(values):
+    return [float(v).hex() for v in values]
+
+
+class TestScipyDcstep:
+    def test_scalar_dcstep_matches_scipy_bit_for_bit(self):
+        dcsrch = pytest.importorskip("scipy.optimize._dcsrch")
+        cases = set()
+        for case, args in dcstep_inputs(np.random.default_rng(2024)):
+            got, ref = lbfgs._dcstep(*args), dcsrch.dcstep(*args)
+            assert np.isfinite(got[:7]).all(), args
+            assert hex_floats(got[:7]) == hex_floats(ref[:7]), args
+            assert bool(got[7]) == bool(ref[7]), args
+            cases.add((case, args[9], args[6] > args[0]))
+        assert len(cases) == 16
+
+
+# Per-start results of default solves (seed 9, on a Ginibre state drawn with
+# seed 9), pinned at commit 52e938c, before the line search ran per row:
+# (nfev, nit, fun as float.hex). Every start converged.
+PINNED_SOLVES = {
+    2: (
+        [16, 12, 20, 14, 14, 14, 20, 15, 13, 13, 22, 12, 18, 10, 18, 15],
+        [13, 11, 15, 11, 13, 12, 16, 12, 10, 11, 16, 10, 15, 9, 17, 12],
+        ["-0x1.32e26c19d5690p-1", "-0x1.32e26c19d52f8p-1", "-0x1.32e26c19d525cp-1",
+         "-0x1.32e26c19d569ap-1", "-0x1.32e26c19d56e0p-1", "-0x1.32e26c19d54d2p-1",
+         "-0x1.32e26c19d2926p-1", "-0x1.32e26c19d542ep-1", "-0x1.32e26c19d5622p-1",
+         "-0x1.32e26c19d5688p-1", "-0x1.32e26c19d5486p-1", "-0x1.32e26c19d5662p-1",
+         "-0x1.32e26c19d5600p-1", "-0x1.32e26c19d56c8p-1", "-0x1.32e26c19d5538p-1",
+         "-0x1.32e26c19d4dd6p-1"],
+    ),
+    3: (
+        [34, 22, 21, 16, 29, 28, 19, 16, 21, 33, 20, 25, 15, 11, 25, 27, 19, 16, 13, 20, 19, 20, 19, 18],
+        [23, 20, 19, 14, 24, 24, 17, 13, 19, 27, 19, 22, 14, 10, 21, 22, 16, 13, 12, 18, 17, 16, 18, 17],
+        ["-0x1.21f8df9498e18p-2", "-0x1.21f8df949d060p-2", "-0x1.21f8df9496ac0p-2",
+         "-0x1.21f8df949db98p-2", "-0x1.c161f37024d50p-3", "-0x1.c161f37024ac0p-3",
+         "-0x1.c161f37024b70p-3", "-0x1.21f8df949b420p-2", "-0x1.c161f37024e60p-3",
+         "-0x1.21f8df949cd38p-2", "-0x1.21f8df949cb98p-2", "-0x1.c161f37024c10p-3",
+         "-0x1.c161f36ffd900p-3", "-0x1.21f8df93f35c8p-2", "-0x1.21f8df949d4a0p-2",
+         "-0x1.21f8df949d6b8p-2", "-0x1.21f8df949b920p-2", "-0x1.21f8df949daa8p-2",
+         "-0x1.c161f37024bf0p-3", "-0x1.21f8df948e5c0p-2", "-0x1.c161f36ecc560p-3",
+         "-0x1.21f8df949d668p-2", "-0x1.21f8df9422048p-2", "-0x1.21f8df949bbb0p-2"],
+    ),
+}
+
+# A weighted quadratic that is infinite outside the ball |x| <= 2, from
+# starts inside it, with its per-row result pinned at the same commit.
+WALL_TARGET, WALL_WEIGHTS = np.array([1.5, -1.0, 0.5]), np.array([1.0, 4.0, 9.0])
+WALL_STARTS = np.array([
+    [1.2, -0.6, 0.3],
+    [1.0, -1.2, 0.7],
+    [0.9, -0.5, 0.5],
+    [1.6, -0.8, 0.4],
+    [0.5, -1.0, 0.0],
+])
+PINNED_WALL = {
+    "nfev": [3, 10, 8, 3, 8],
+    "nit": [1, 8, 7, 1, 7],
+    "fun": ["0x1.170a3d70a3d72p+0", "0x1.ce1422729661bp-52", "0x1.27a403fe70dd0p-54",
+            "0x1.0a3d70a3d70a2p-2", "0x1.fb11fac65e73ep-47"],
+    "x": [
+        ["0x1.3333333333333p+0", "-0x1.3333333333333p-1", "0x1.3333333333333p-2"],
+        ["0x1.7fffffcc33d81p+0", "-0x1.ffffffbd09abdp-1", "0x1.0000000a079c6p-1"],
+        ["0x1.7fffffdda5244p+0", "-0x1.00000000c23a5p+0", "0x1.0000000000000p-1"],
+        ["0x1.999999999999ap+0", "-0x1.999999999999ap-1", "0x1.999999999999ap-2"],
+        ["0x1.800001facaee6p+0", "-0x1.0000000000000p+0", "0x1.ffffffb9af56cp-2"],
+    ],
+}
+
+
+class TestPinnedResults:
+    """Per-start results pinned bit for bit, so that any change to the
+    iteration's arithmetic or its operation order fails here."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_default_solve(self, n):
+        rho = random_density_matrix(n, np.random.default_rng(9))
+        opts = OptimizerOptions(seed=9)
+        res = minimize_stacked(
+            _entropy_objective(rho.matrix, marginal=True), np.array(_start_points(n, opts)),
+            opts.max_evals_per_start, opts.f_tol, _GRAD_TOL,
+        )
+        nfev, nit, fun = PINNED_SOLVES[n]
+        assert res.nfev.tolist() == nfev
+        assert res.nit.tolist() == nit
+        assert res.converged.all()
+        assert hex_floats(res.fun) == fun
+
+    def test_infinite_value_at_the_first_trial(self):
+        calls = []
+
+        def walled(x):
+            r = x - WALL_TARGET
+            value = np.where(np.sqrt((x * x).sum(axis=1)) > 2.0, np.inf, (WALL_WEIGHTS * r * r).sum(axis=1))
+            calls.append(np.isinf(value).tolist())
+            return value, 2.0 * WALL_WEIGHTS * r
+
+        res = minimize_stacked(walled, WALL_STARTS, 2000, 1e-10, 1e-7)
+        # The first trial steps of rows 0 and 3 leave the ball. Their
+        # searches fall back to step 0, and they stop where they started.
+        assert calls[1] == [True, False, False, True, False]
+        assert res.nfev.tolist() == PINNED_WALL["nfev"]
+        assert res.nit.tolist() == PINNED_WALL["nit"]
+        assert res.converged.all()
+        assert hex_floats(res.fun) == PINNED_WALL["fun"]
+        assert [hex_floats(row) for row in res.x] == PINNED_WALL["x"]
