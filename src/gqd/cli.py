@@ -32,12 +32,11 @@ from .discord import (
     PauliDiagonalParams,
     QubitLimitError,
     WernerGhzParams,
+    _werner_ghz_bits,
     gqd_numeric,
     gqd_pauli_diagonal,
     gqd_werner_ghz,
-    gqd_werner_ghz_asymptotic,
     pauli_diagonal_state,
-    require_valid_pauli_params,
     werner_ghz_state,
 )
 from .dynamics import scan_gqd_vs_p
@@ -88,7 +87,6 @@ class StateDocument:
             return gqd_werner_ghz(WernerGhzParams(self.n_qubits, self.mu)), "werner_ghz"
         if self.kind == "pauli_diagonal":
             params = PauliDiagonalParams(self.n_qubits, *self.coefficients)
-            require_valid_pauli_params(params)
             return gqd_pauli_diagonal(params), "pauli_diagonal"
         raise DocumentError("closed form unavailable for dense state documents")
 
@@ -280,16 +278,14 @@ def cmd_figure1(args) -> int:
     n_list = _parse_n_list(args.n_list)
     _check_steps("mu-steps", args.mu_steps, 2)
     mus = np.linspace(0.0, 1.0, args.mu_steps)
+    mu_texts = [_fmt(mu) for mu in mus.tolist()]
     lines = ["mu,n,gqd_bits"]
     for n in n_list:
-        for mu in mus:
-            if n == "inf":
-                value = gqd_werner_ghz_asymptotic(float(mu))
-                label = "inf"
-            else:
-                value = gqd_werner_ghz(WernerGhzParams(n, float(mu)))
-                label = str(n)
-            lines.append(f"{_fmt(float(mu))},{label},{_fmt(value)}")
+        # The asymptote of the GHZ-noise discord is mu itself.
+        values = mus if n == "inf" else _werner_ghz_bits(n, mus)
+        lines += [
+            f"{mu},{n},{_fmt(value)}" for mu, value in zip(mu_texts, values.tolist())
+        ]
     _write_lines(args.out, lines)
     return EXIT_OK
 

@@ -27,12 +27,11 @@ from .qcore import (
     BlochVector,
     DensityMatrix,
     Spectrum,
-    _xlog2,
-    binary_entropy,
+    _binary_entropy_bits,
+    _entropy_bits,
     mutual_information,
     partial_trace,
     pauli_string,
-    shannon_entropy,
     von_neumann_entropy,
 )
 
@@ -146,22 +145,58 @@ class ValidationReport:
         return None
 
 
-def _even_parity_sign(n_qubits: int) -> float:
-    return -1.0 if (n_qubits // 2) % 2 else 1.0
+def _pauli_weights(n_qubits: int, c1, c2, c3) -> np.ndarray:
+    """The quantities that decide positivity, stacked on a new last axis.
+
+    Odd ``n_qubits``: ``d = sqrt(c1^2 + c2^2 + c3^2)``, which must be at most
+    1. Even ``n_qubits``: the four spectral weights ``lambda_j``, each of
+    total mass 1/4, which must lie in ``[0, 1]``. The coefficients are
+    scalars or 1-D arrays of one length.
+    """
+    # Coefficients far outside the valid range overflow to inf or NaN, which
+    # fail the bounds.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_qubits % 2:
+            return np.sqrt(np.square(c1) + np.square(c2) + np.square(c3))[..., None]
+        s2 = -c2 if (n_qubits // 2) % 2 else c2
+        return np.array(
+            [
+                (1.0 + c3 + c1 + s2) / 4.0,
+                (1.0 + c3 - c1 - s2) / 4.0,
+                (1.0 - c3 + c1 - s2) / 4.0,
+                (1.0 - c3 - c1 + s2) / 4.0,
+            ]
+        ).T
 
 
-def _pauli_lambdas(params: PauliDiagonalParams) -> np.ndarray:
-    """The four spectral weights of an even-N state, each of total mass 1/4."""
-    c1, c2, c3 = params.coefficients()
-    s = _even_parity_sign(params.n_qubits)
-    return np.array(
-        [
-            (1.0 + c3 + c1 + s * c2) / 4.0,
-            (1.0 + c3 - c1 - s * c2) / 4.0,
-            (1.0 - c3 + c1 - s * c2) / 4.0,
-            (1.0 - c3 - c1 + s * c2) / 4.0,
+def _positive(n_qubits: int, weights: np.ndarray) -> np.ndarray:
+    """Mask of the points whose :func:`_pauli_weights` pass their bounds."""
+    if n_qubits % 2:
+        return weights[..., 0] <= 1.0 + _PARAM_TOL
+    return ((weights >= -_PARAM_TOL) & (weights <= 1.0 + _PARAM_TOL)).all(axis=-1)
+
+
+def _checked_weights(params: PauliDiagonalParams) -> np.ndarray:
+    """:func:`_pauli_weights` of ``params``; raises if the state is not positive."""
+    w = _pauli_weights(params.n_qubits, *params.coefficients())
+    if not _positive(params.n_qubits, w):
+        raise InvalidParamsError(
+            "pauli-diagonal coefficients invalid: "
+            f"{_report(params.n_qubits, w).failure_message()}"
+        )
+    return w
+
+
+def _report(n_qubits: int, weights: np.ndarray) -> ValidationReport:
+    if n_qubits % 2:
+        d = float(weights[0])
+        checks = [ConstraintCheck("d", d <= 1.0 + _PARAM_TOL, d, 0.0, 1.0)]
+    else:
+        checks = [
+            ConstraintCheck(f"lambda{j}", -_PARAM_TOL <= lam <= 1.0 + _PARAM_TOL, lam, 0.0, 1.0)
+            for j, lam in enumerate(weights.tolist(), start=1)
         ]
-    )
+    return ValidationReport(all(c.passed for c in checks), tuple(checks))
 
 
 def validate_pauli_params(params: PauliDiagonalParams) -> ValidationReport:
@@ -171,25 +206,11 @@ def validate_pauli_params(params: PauliDiagonalParams) -> ValidationReport:
     ``d = sqrt(c1^2 + c2^2 + c3^2) <= 1``. For even ``n_qubits`` the four
     spectral weights ``lambda_j`` must each lie in ``[0, 1]``.
     """
-    checks = []
-    if params.n_qubits % 2:
-        d = math.sqrt(params.c1**2 + params.c2**2 + params.c3**2)
-        checks.append(
-            ConstraintCheck("d", d <= 1.0 + _PARAM_TOL, d, 0.0, 1.0)
-        )
-    else:
-        for j, lam in enumerate(_pauli_lambdas(params), start=1):
-            ok = -_PARAM_TOL <= lam <= 1.0 + _PARAM_TOL
-            checks.append(ConstraintCheck(f"lambda{j}", ok, float(lam), 0.0, 1.0))
-    return ValidationReport(all(c.passed for c in checks), tuple(checks))
+    return _report(params.n_qubits, _pauli_weights(params.n_qubits, *params.coefficients()))
 
 
 def require_valid_pauli_params(params: PauliDiagonalParams) -> None:
-    report = validate_pauli_params(params)
-    if not report.ok:
-        raise InvalidParamsError(
-            f"pauli-diagonal coefficients invalid: {report.failure_message()}"
-        )
+    _checked_weights(params)
 
 
 def ghz_vector(n_qubits: int) -> np.ndarray:
@@ -214,6 +235,28 @@ def werner_ghz_state(params: WernerGhzParams) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
+# Past this many qubits 2**-n times any weight underflows to 0, so larger
+# qubit counts are clamped to it: np.ldexp rejects an exponent beyond a C long.
+_UNDERFLOW_QUBITS = 2000
+
+
+def _werner_ghz_bits(n_qubits: int, mu):
+    """Closed-form discord of GHZ-noise mixtures at one or many ``mu``.
+
+    With ``a = (1 - mu) / 2**n`` the z-measured state has the weights
+    ``a + mu/2`` (twice) on the GHZ pair and ``a`` elsewhere, so
+
+        D = H(a + mu/2, a + mu/2) - H(a + mu, a)
+
+    in terms of the unnormalised entropy ``H(w) = -sum w log2 w``. ``a`` is
+    scaled by ``ldexp``, so it underflows to 0 and ``D`` tends to ``mu`` for
+    large N instead of overflowing.
+    """
+    a = np.ldexp(1.0 - np.asarray(mu, dtype=float), -min(n_qubits, _UNDERFLOW_QUBITS))
+    half = a + mu / 2.0
+    return _entropy_bits(np.array([half, half]).T) - _entropy_bits(np.array([a + mu, a]).T)
+
+
 def gqd_werner_ghz(params: WernerGhzParams) -> float:
     """Closed-form global quantum discord of the GHZ-noise mixture, in bits.
 
@@ -221,14 +264,9 @@ def gqd_werner_ghz(params: WernerGhzParams) -> float:
 
         D = (a + mu) log2(a + mu) + a log2(a) - 2 (a + mu/2) log2(a + mu/2).
 
-    The optimal measurement is along z on every qubit. ``a`` is scaled by
-    ``ldexp``, so it underflows to 0 and ``D`` tends to ``mu`` for large N
-    instead of overflowing.
+    The optimal measurement is along z on every qubit.
     """
-    a = math.ldexp(1.0 - params.mu, -params.n_qubits)
-    return (
-        _xlog2(a + params.mu) + _xlog2(a) - 2.0 * _xlog2(a + params.mu / 2.0)
-    )
+    return float(_werner_ghz_bits(params.n_qubits, params.mu))
 
 
 def gqd_werner_ghz_asymptotic(mu: float) -> float:
@@ -257,17 +295,31 @@ def pauli_diagonal_spectrum(params: PauliDiagonalParams) -> Spectrum:
     ``2**(n-2)`` times. Odd ``n``: ``(1 +/- d) / 2**n`` each repeated
     ``2**(n-1)`` times.
     """
-    require_valid_pauli_params(params)
+    w = _checked_weights(params)
     n = params.n_qubits
     if n % 2:
-        d = math.sqrt(params.c1**2 + params.c2**2 + params.c3**2)
+        d = float(w[0])
         vals = np.repeat(
             [(1.0 + d) / 2**n, (1.0 - d) / 2**n], 2 ** (n - 1)
         )
     else:
-        lam = np.clip(_pauli_lambdas(params), 0.0, None)
-        vals = np.repeat(lam / 2 ** (n - 2), 2 ** (n - 2))
+        vals = np.repeat(np.clip(w, 0.0, None) / 2 ** (n - 2), 2 ** (n - 2))
     return Spectrum(vals)
+
+
+def _pauli_diagonal_bits(n_qubits: int, c1, c2, c3, weights: np.ndarray):
+    """Closed-form discord of Pauli-diagonal states, over scalars or arrays.
+
+    ``weights`` are the coefficients' :func:`_pauli_weights`, already
+    checked by the caller.
+    """
+    c = np.maximum(np.maximum(np.abs(c1), np.abs(c2)), np.abs(c3))
+    f = _binary_entropy_bits((1.0 + c) / 2.0)
+    if n_qubits % 2:
+        g = _binary_entropy_bits((1.0 + np.minimum(weights[..., 0], 1.0)) / 2.0)
+    else:
+        g = -1.0 + _entropy_bits(weights)
+    return f - g
 
 
 def gqd_pauli_diagonal(params: PauliDiagonalParams) -> float:
@@ -280,16 +332,8 @@ def gqd_pauli_diagonal(params: PauliDiagonalParams) -> float:
     The optimal measurement aligns every qubit with the axis whose
     coefficient has the largest magnitude.
     """
-    require_valid_pauli_params(params)
-    c = max(abs(v) for v in params.coefficients())
-    f = binary_entropy((1.0 + c) / 2.0)
-    if params.n_qubits % 2:
-        d = math.sqrt(params.c1**2 + params.c2**2 + params.c3**2)
-        g = binary_entropy((1.0 + min(d, 1.0)) / 2.0)
-    else:
-        lam = np.clip(_pauli_lambdas(params), 0.0, None)
-        g = -1.0 + shannon_entropy(lam)
-    return f - g
+    w = _checked_weights(params)
+    return float(_pauli_diagonal_bits(params.n_qubits, *params.coefficients(), w))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discord import (
+    InvalidParamsError,
     PauliDiagonalParams,
-    gqd_pauli_diagonal,
+    _pauli_diagonal_bits,
+    _pauli_weights,
+    _positive,
+    _report,
     require_valid_pauli_params,
 )
 from .qcore import DensityMatrix, PAULI_Z, apply_single_qubit_operators
@@ -76,6 +80,10 @@ def sudden_transition_point(params: PauliDiagonalParams) -> float | None:
     otherwise (including ties, where the curve has no interior kink).
     """
     require_valid_pauli_params(params)
+    return _transition_point(params)
+
+
+def _transition_point(params: PauliDiagonalParams) -> float | None:
     transverse = max(abs(params.c1), abs(params.c2))
     longitudinal = abs(params.c3)
     if 0.0 < longitudinal < transverse:
@@ -112,20 +120,19 @@ class ScanReport:
     plateaus: tuple[PlateauInterval, ...]
 
 
-def _active_branch(params: PauliDiagonalParams, p: float) -> str:
-    """Which coefficient magnitude attains ``c`` at dephasing strength ``p``.
+def _active_branches(params: PauliDiagonalParams, factor: np.ndarray) -> list[str]:
+    """Which coefficient magnitude attains ``c`` at each ``1 - p`` in ``factor``.
 
     Ties go to the longitudinal branch, except in the fully-dephased corner
     of a ``c3 = 0`` state, where the branch follows the initially dominant
     transverse axis so that a scan without a transition keeps one label.
     """
-    vx = abs(params.c1) * (1.0 - p)
-    vy = abs(params.c2) * (1.0 - p)
     vz = abs(params.c3)
-    if vz >= vx and vz >= vy:
-        if vz > 0.0 or (params.c1 == 0.0 and params.c2 == 0.0):
-            return "z_dominant"
-    return "x_dominant" if abs(params.c1) >= abs(params.c2) else "y_dominant"
+    transverse = "x_dominant" if abs(params.c1) >= abs(params.c2) else "y_dominant"
+    if not (vz > 0.0 or (params.c1 == 0.0 and params.c2 == 0.0)):
+        return [transverse] * factor.size
+    z = (vz >= abs(params.c1) * factor) & (vz >= abs(params.c2) * factor)
+    return ["z_dominant" if zi else transverse for zi in z.tolist()]
 
 
 # A second difference counts as a spike above this many times the scan
@@ -173,13 +180,14 @@ def _detect_kinks(p_grid: np.ndarray, gqd: np.ndarray, branches):
 
 def _detect_plateaus(p_grid: np.ndarray, gqd: np.ndarray):
     plateaus = []
+    values = gqd.tolist()
     i = 0
     m = len(p_grid)
     while i < m:
         j = i
-        lo = hi = gqd[i]
+        lo = hi = values[i]
         while j + 1 < m:
-            lo2, hi2 = min(lo, gqd[j + 1]), max(hi, gqd[j + 1])
+            lo2, hi2 = min(lo, values[j + 1]), max(hi, values[j + 1])
             if hi2 - lo2 > _PLATEAU_TOL:
                 break
             lo, hi = lo2, hi2
@@ -205,32 +213,43 @@ def scan_gqd_vs_p(
     Returns one record per grid point plus a report listing the predicted
     transition strength, detected kinks (a branch change, placed at the
     second difference above 10 times the scan median), and flat plateaus
-    (windows of at least three points spanning at most 1e-7).
+    (windows of at least three points spanning at most 1e-7). The grid is
+    evaluated as one array. Raises ValueError unless it is 1-D with at least
+    three finite, strictly increasing points in [0, 1], and
+    InvalidParamsError naming the first ``p`` whose dephased coefficients
+    are not a positive state.
     """
     grid = np.asarray(p_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("p_grid must be a 1-D grid with at least 3 points")
+    if not np.isfinite(grid).all():
+        raise ValueError("p_grid entries must be finite")
     if grid[0] < 0.0 or grid[-1] > 1.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("p_grid must increase strictly within [0, 1]")
     require_valid_pauli_params(params)
 
-    records = []
-    for p in grid:
-        evolved = dephase_pauli_params(params, float(p))
-        records.append(
-            SweepRecord(
-                p=float(p),
-                c1_p=evolved.c1,
-                c2_p=evolved.c2,
-                c3_p=evolved.c3,
-                gqd=max(gqd_pauli_diagonal(evolved), 0.0),
-                active_branch=_active_branch(params, float(p)),
-            )
+    n = params.n_qubits
+    factor = 1.0 - grid
+    c1_p, c2_p = params.c1 * factor, params.c2 * factor
+    c3_p = np.full_like(grid, params.c3)
+    weights = _pauli_weights(n, c1_p, c2_p, c3_p)
+    bad = np.flatnonzero(~_positive(n, weights))
+    if bad.size:
+        i = bad[0]
+        raise InvalidParamsError(
+            f"pauli-diagonal coefficients invalid at p = {float(grid[i])!r}: "
+            f"{_report(n, weights[i]).failure_message()}"
         )
-    gqd_vals = np.array([r.gqd for r in records])
-    branches = [r.active_branch for r in records]
+    gqd_vals = np.maximum(_pauli_diagonal_bits(n, c1_p, c2_p, c3_p, weights), 0.0)
+    branches = _active_branches(params, factor)
+    records = [
+        SweepRecord(p, c1, c2, params.c3, value, branch)
+        for p, c1, c2, value, branch in zip(
+            grid.tolist(), c1_p.tolist(), c2_p.tolist(), gqd_vals.tolist(), branches
+        )
+    ]
     report = ScanReport(
-        predicted_transition_p=sudden_transition_point(params),
+        predicted_transition_p=_transition_point(params),
         kinks=_detect_kinks(grid, gqd_vals, branches),
         plateaus=_detect_plateaus(grid, gqd_vals),
     )

@@ -44,8 +44,8 @@ class StackedResult:
     ``x``, ``fun`` and ``jac`` are the last accepted point, its value and its
     gradient; ``nit`` counts accepted steps and ``nfev`` evaluations.
     ``converged`` is true when a row stopped on the gradient or the
-    relative-decrease tolerance, false when it hit the evaluation cap or its
-    line search failed.
+    relative-decrease tolerance, false when it hit the evaluation cap, its
+    line search failed or a MINPACK-2 warning ended the search at step 0.
     """
 
     x: np.ndarray
@@ -63,8 +63,9 @@ def minimize_stacked(fun, x0, max_evals: int, f_tol: float, g_tol: float) -> Sta
     gradients ``(R, D)``. A row stops once the largest gradient component is
     at most ``g_tol``, or once an iteration lowers its value by at most
     ``f_tol * max(|f_old|, |f_new|, 1)``. It also stops, unconverged, when an
-    iteration ends with more than ``max_evals`` evaluations, or when its line
-    search fails with an empty memory.
+    iteration ends with more than ``max_evals`` evaluations, when its line
+    search fails with an empty memory, or when a MINPACK-2 warning ends the
+    search at step 0, as after an infinite value at the first trial.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -88,8 +89,12 @@ def minimize_stacked(fun, x0, max_evals: int, f_tol: float, g_tol: float) -> Sta
         f_trial, g_trial = fun(x_trial)
         runs.nfev += 1
         slope = (g_trial * runs.d).sum(axis=1)
-        ended, failed = runs.search_step(f_trial, slope)
+        ended, failed, stalled = runs.search_step(f_trial, slope)
         stop, converged = runs.accept(ended, x_trial, f_trial, g_trial, slope, max_evals, f_tol, g_tol)
+        # A search that a warning ended at step 0 left its row in place: the
+        # zero decrease passes the f_tol test, but the row has not converged.
+        if stalled:
+            stop[stalled], converged[stalled] = True, False
         # A failed search leaves the row at its last accepted point. With
         # pairs in memory it restarts along -g; without, it gives up.
         if failed:
@@ -250,28 +255,31 @@ class _Runs:
         hg = self.pairs.reshape(n, 2 * _MEMORY, dim).transpose(0, 2, 1) @ coef.reshape(n, 2 * _MEMORY, 1)
         return -(h0[..., 0] * g + hg[..., 0])
 
-    def search_step(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    def search_step(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
         """One dcsrch call per row, after evaluating it at its trial step.
 
         ``f`` and ``g`` are the value and the slope along the direction at
         ``stp``. Returns the mask of the rows whose search has ended
-        (converged, or stopped by a MINPACK-2 warning at their current step)
-        and the rows whose search failed, out of trials. The others get their
-        next trial step in ``stp``.
+        (converged, or stopped by a MINPACK-2 warning at their current step),
+        the rows whose search failed, out of trials, and the rows that a
+        warning stopped at step 0. The others get their next trial step in
+        ``stp``.
         """
         ls = self.ls
         ftest = ls[:, _FINIT] + self.stp * ls[:, _GTEST]
         ended = (f <= ftest) & (np.abs(g) <= _LS_GTOL * -ls[:, _GINIT])
-        failed = []
+        failed, stalled = [], []
         if np.count_nonzero(ended) < ended.size:
             # Infinite values and zero-width steps are legal inputs here.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 for i in np.flatnonzero(~ended).tolist():
                     if self._next_trial(i, f[i], g[i], ftest[i]):
                         ended[i] = True
+                        if self.stp[i] == 0.0:
+                            stalled.append(i)
                     elif self.search[i][0] >= _MAX_TRIALS:
                         failed.append(i)
-        return ended, failed
+        return ended, failed, stalled
 
     def _next_trial(self, i: int, f, g, ftest):
         """The rest of dcsrch for row ``i``, whose trial step did not converge.

@@ -282,8 +282,11 @@ def _entropy_bits(weights: np.ndarray) -> np.ndarray:
     return 0.0 - (w * np.log2(np.maximum(w, _TINY))).sum(axis=-1)
 
 
-def _xlog2(t: float) -> float:
-    return 0.0 if t <= 0.0 else t * math.log2(t)
+def _binary_entropy_bits(p):
+    """:func:`_entropy_bits` of ``(p, 1 - p)`` for a scalar or a 1-D array ``p``."""
+    # np.array(...).T puts the pair on the last axis, as np.stack(..., axis=-1)
+    # would, at a fraction of its cost on scalars.
+    return _entropy_bits(np.array([p, 1.0 - p]).T)
 
 
 def binary_entropy(p: float) -> float:
@@ -297,7 +300,7 @@ def binary_entropy(p: float) -> float:
         raise ValueError(
             f"probability vector has entry {float(low)!r} below -{PSD_TOL:.1e}"
         )
-    return 0.0 - _xlog2(p) - _xlog2(1.0 - p)
+    return float(_binary_entropy_bits(p))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -25,7 +26,13 @@ from gqd.cli import (
     save_state_document,
     state_document_from_dict,
 )
-from gqd.discord import WernerGhzParams, gqd_werner_ghz, werner_ghz_state
+from gqd.cli import _fmt
+from gqd.discord import (
+    WernerGhzParams,
+    gqd_werner_ghz,
+    gqd_werner_ghz_asymptotic,
+    werner_ghz_state,
+)
 from gqd.qcore import random_density_matrix
 
 
@@ -360,6 +367,32 @@ class TestFigure1:
             (0.0, 0.0), (0.5, 0.5), (1.0, 1.0)
         ]
 
+    def test_qubit_count_beyond_a_c_long(self, tmp_path, capsys):
+        out_path = tmp_path / "fig.csv"
+        code, _, err = run_cli(
+            capsys, "figure1", "--n-list", "2,100000000000000000000", "--mu-steps", "3",
+            "--out", str(out_path),
+        )
+        assert code == EXIT_OK and err == ""
+        rows = out_path.read_text().splitlines()[4:]
+        assert rows == ["0,100000000000000000000,0", "0.5,100000000000000000000,0.5",
+                        "1,100000000000000000000,1"]
+
+    def test_rows_are_the_scalar_closed_form(self, tmp_path, capsys):
+        out_path = tmp_path / "fig.csv"
+        code, _, _ = run_cli(
+            capsys, "figure1", "--n-list", "2,3,5,17,64,inf", "--mu-steps", "101",
+            "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        expected = ["mu,n,gqd_bits"]
+        for n in (2, 3, 5, 17, 64, "inf"):
+            for mu in np.linspace(0.0, 1.0, 101).tolist():
+                value = (gqd_werner_ghz_asymptotic(mu) if n == "inf"
+                         else gqd_werner_ghz(WernerGhzParams(n, mu)))
+                expected.append(f"{_fmt(mu)},{n},{_fmt(value)}")
+        assert out_path.read_text(encoding="utf-8").splitlines() == expected
+
     def test_rejects_optimizer_flags(self, tmp_path, capsys):
         for flag in ("--seed", "--starts", "--tol", "--max-n"):
             with pytest.raises(SystemExit) as exc:
@@ -411,6 +444,26 @@ class TestDephaseScan:
         branches = {line.split(",")[5] for line in lines[1:]}
         assert branches == {"x_dominant", "z_dominant"}
 
+    def test_readme_example_prints_its_report(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "dephase-scan", "--n", "2", "--c1", "1.0", "--c2", "-0.6",
+            "--c3", "0.6", "--out", str(tmp_path / "scan.csv"),
+        )
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines() == [
+            "predicted transition: p* = 0.4",
+            "detected kinks: p = 0.4",
+            "plateau: p in [0, 0.4], value 0.278071905113, spread 1.776e-15",
+        ]
+
+    def test_rejects_coefficients_beyond_the_float_squares(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "dephase-scan", "--n", "3", "--c1", "1e200", "--c2", "0",
+            "--c3", "0", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == EXIT_INVALID_INPUT and out == ""
+        assert err.startswith("error:") and "d = inf" in err
+
     def test_smooth_sweep_reports_nothing(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "dephase-scan", "--n", "2", "--c1", "0.5", "--c2", "0.5",
@@ -456,6 +509,28 @@ class TestDephaseScan:
         assert code == EXIT_INVALID_INPUT
         assert err.startswith("error:") and "p-steps" in err
         assert not (tmp_path / "s.csv").exists()
+
+
+class TestGridEdgesLeaveStderrEmpty:
+    """Zero weights at the grid edges must not reach log2 or a division."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("figure1", "--n-list", "2,3,5,1100,inf", "--mu-steps", "11"),
+            ("dephase-scan", "--n", "2", "--c1", "1", "--c2", "0", "--c3", "0"),
+            ("dephase-scan", "--n", "3", "--c1", "1", "--c2", "0", "--c3", "0"),
+            ("dephase-scan", "--n", "4", "--c1", "0", "--c2", "-1", "--c3", "0"),
+            ("dephase-scan", "--n", "2", "--c1", "1.0", "--c2", "-0.6", "--c3", "0.6"),
+            ("dephase-scan", "--n", "5", "--c1", "0.6", "--c2", "0", "--c3", "0.8"),
+        ],
+    )
+    def test_no_warning(self, tmp_path, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_OK
+        assert err == "" and [str(w.message) for w in caught] == []
 
 
 class TestVerify:

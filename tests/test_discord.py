@@ -121,6 +121,9 @@ class TestWernerGhzFamily:
                 old = xlog2(a + mu) + xlog2(a) - 2.0 * xlog2(a + mu / 2.0)
                 assert gqd_werner_ghz(WernerGhzParams(n, mu)) == old, (n, mu)
 
+    def test_qubit_count_beyond_a_c_long_underflows_to_mu(self):
+        assert gqd_werner_ghz(WernerGhzParams(10**30, 0.4)) == 0.4
+
     def test_params_validation(self):
         with pytest.raises(InvalidParamsError):
             WernerGhzParams(1, 0.5)
@@ -193,6 +196,13 @@ class TestPauliDiagonalFamily:
         report = validate_pauli_params(PauliDiagonalParams(3, 0.9, 0.9, 0.9))
         assert not report.ok
         assert report.checks[0].name == "d"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_validation_reports_coefficients_beyond_the_float_squares(self, n):
+        report = validate_pauli_params(PauliDiagonalParams(n, 1e200, 1e308, -1e308))
+        assert not report.ok
+        with pytest.raises(InvalidParamsError):
+            gqd_pauli_diagonal(PauliDiagonalParams(n, 1e200, 1e308, -1e308))
 
     def test_require_valid_raises(self):
         with pytest.raises(InvalidParamsError, match="lambda"):

@@ -7,6 +7,7 @@ import pytest
 
 from gqd.checks import random_valid_pauli_params
 from gqd.discord import (
+    InvalidParamsError,
     PauliDiagonalParams,
     gqd_numeric,
     gqd_pauli_diagonal,
@@ -199,6 +200,47 @@ class TestScan:
         params = PauliDiagonalParams(3, 0.5, 0.1, 0.2)
         _, report = scan_gqd_vs_p(params, np.linspace(0.0, 1.0, 101))
         assert report.plateaus == ()
+
+    @pytest.mark.parametrize(
+        "grid", [[math.nan, 0.5, 1.0], [0.0, math.nan, 1.0], [0.0, 0.5, math.inf]]
+    )
+    def test_rejects_non_finite_grid_entries(self, grid):
+        with pytest.raises(ValueError):
+            scan_gqd_vs_p(PauliDiagonalParams(2, 0.5, 0.1, 0.2), grid)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_records_are_the_scalar_closed_form(self, n):
+        # One formula: every record equals the public scalar functions at its
+        # dephased coefficients, bit for bit, with and without a transition.
+        rng = np.random.default_rng(RNG_SEED + n)
+        cases = {True: None, False: None}
+        while None in cases.values():
+            params = random_valid_pauli_params(n, rng)
+            cases[sudden_transition_point(params) is not None] = params
+        grid = np.linspace(0.0, 1.0, 201)
+        for params in (*cases.values(), PauliDiagonalParams(n, 1.0, 0.0, 0.0)):
+            records, _ = scan_gqd_vs_p(params, grid)
+            for r, p in zip(records, grid.tolist()):
+                evolved = dephase_pauli_params(params, p)
+                assert r.p == p
+                assert (r.c1_p, r.c2_p, r.c3_p) == evolved.coefficients()
+                assert r.gqd == max(gqd_pauli_diagonal(evolved), 0.0), (params, p)
+
+    def test_names_the_first_dephased_point_that_is_not_positive(self, monkeypatch):
+        from gqd import dynamics
+
+        # Dephasing keeps a state positive, so a negative weight is planted
+        # at the fourth grid point.
+        weights_of = dynamics._pauli_weights
+
+        def planted(*args):
+            weights = weights_of(*args)
+            weights[3, 0] = -0.5
+            return weights
+
+        monkeypatch.setattr(dynamics, "_pauli_weights", planted)
+        with pytest.raises(InvalidParamsError, match=r"at p = 0\.3.*: lambda1 = -0\.5 "):
+            scan_gqd_vs_p(PauliDiagonalParams(2, 0.5, 0.1, 0.2), np.linspace(0.0, 1.0, 11))
 
     def test_grid_validation(self):
         params = PauliDiagonalParams(2, 0.5, 0.1, 0.2)
