@@ -18,11 +18,13 @@ from .discord import (
     OptimizerOptions,
     PauliDiagonalParams,
     WernerGhzParams,
+    _pauli_diagonal_bits,
+    _pauli_weights,
+    _werner_ghz_bits,
     gqd_maximally_mixed,
     gqd_numeric,
     gqd_pauli_diagonal,
     gqd_werner_ghz,
-    gqd_werner_ghz_asymptotic,
     pauli_diagonal_state,
     validate_pauli_params,
     werner_ghz_state,
@@ -46,7 +48,11 @@ from .qcore import (
     shannon_entropy,
 )
 
-__all__ = ["CheckResult", "SCOPES", "run_checks", "random_valid_pauli_params"]
+__all__ = ["CheckResult", "SCOPES", "MAX_TRIALS", "run_checks", "random_valid_pauli_params"]
+
+# Most trials one run may ask for, 100 times the default. The numeric checks
+# solve trials // 20 states each, so a larger value would run for minutes.
+MAX_TRIALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -219,27 +225,21 @@ def check_pauli_diagonal_closed_form(seed: int, trials: int) -> CheckResult:
 
 def check_asymptote_deviation(seed: int, trials: int) -> list[CheckResult]:
     """The GHZ-mixture discord approaches ``mu`` at the documented rates."""
+    mus = np.linspace(0.0, 1.0, 101)
     out = []
     for n, tol in ((10, 1e-2), (14, 1e-3), (17, 1e-4)):
-        mus = np.linspace(0.0, 1.0, 101)
-        dev = max(
-            abs(gqd_werner_ghz(WernerGhzParams(n, float(mu)))
-                - gqd_werner_ghz_asymptotic(float(mu)))
-            for mu in mus
-        )
+        # The asymptote, gqd_werner_ghz_asymptotic, is mu itself.
+        dev = float(np.max(np.abs(_werner_ghz_bits(n, mus) - mus)))
         out.append(_result(f"asymptote-deviation-n{n}", "theorems", dev, tol))
     return out
 
 
 def check_cross_family(seed: int, trials: int) -> CheckResult:
     """The two closed forms agree where the families coincide (n = 2)."""
-    worst = 0.0
-    for mu in np.linspace(0.0, 1.0, 51):
-        w = gqd_werner_ghz(WernerGhzParams(2, float(mu)))
-        p = gqd_pauli_diagonal(
-            PauliDiagonalParams(2, float(mu), -float(mu), float(mu))
-        )
-        worst = max(worst, abs(w - p))
+    mus = np.linspace(0.0, 1.0, 51)
+    # (mu, -mu, mu) is a positive state for every mu in [0, 1].
+    pauli = _pauli_diagonal_bits(2, mus, -mus, mus, _pauli_weights(2, mus, -mus, mus))
+    worst = float(np.max(np.abs(_werner_ghz_bits(2, mus) - pauli)))
     return _result("cross-family-agreement", "theorems", worst, 1e-12)
 
 
@@ -247,11 +247,17 @@ SCOPES = ("lemmas", "theorems", "all")
 
 
 def run_checks(scope: str = "all", seed: int = 0, trials: int = 100) -> list[CheckResult]:
-    """Run one verification scope and collect the results."""
+    """Run one verification scope and collect the results.
+
+    Raises ValueError, before any check runs, for an unknown scope,
+    ``trials`` outside ``[1, MAX_TRIALS]`` or a negative ``seed``.
+    """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     results: list[CheckResult] = []
     if scope in ("lemmas", "all"):
         results.append(check_pinch_trace(seed, trials))

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checks import SCOPES, run_checks
+from .checks import MAX_TRIALS, SCOPES, run_checks
 from .discord import (
     GqdResult,
     OptimizerOptions,
@@ -278,22 +278,43 @@ def cmd_figure1(args) -> int:
     n_list = _parse_n_list(args.n_list)
     _check_steps("mu-steps", args.mu_steps, 2)
     mus = np.linspace(0.0, 1.0, args.mu_steps)
-    mu_texts = [_fmt(mu) for mu in mus.tolist()]
-    lines = ["mu,n,gqd_bits"]
-    for n in n_list:
-        # The asymptote of the GHZ-noise discord is mu itself.
-        values = mus if n == "inf" else _werner_ghz_bits(n, mus)
-        lines += [
-            f"{mu},{n},{_fmt(value)}" for mu, value in zip(mu_texts, values.tolist())
-        ]
-    _write_lines(args.out, lines)
+    mu_texts = "".join(_csv_chunks("%.12g\n", mus)).split("\n")[:-1]
+
+    def rows():
+        for n in n_list:
+            # The asymptote of the GHZ-noise discord is mu itself.
+            values = mus if n == "inf" else _werner_ghz_bits(n, mus)
+            yield from _csv_chunks(f"%s,{n},%.12g\n", mu_texts, values)
+
+    _write_csv(args.out, "mu,n,gqd_bits", rows())
     return EXIT_OK
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+# Rows formatted and written at a time, so that no CSV is held in memory
+# whole.
+_CSV_CHUNK = 2**14
+
+
+def _csv_chunks(template: str, *columns):
+    """Yield ``template % row`` for the rows of ``columns``, joined per chunk.
+
+    One ``%`` formats a whole chunk in C; ``%.12g`` gives the text of
+    :func:`_fmt`.
+    """
+    width = len(columns)
+    for start in range(0, len(columns[0]), _CSV_CHUNK):
+        parts = [c[start : start + _CSV_CHUNK] for c in columns]
+        args = [None] * (len(parts[0]) * width)
+        for j, part in enumerate(parts):
+            args[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        yield template * len(parts[0]) % tuple(args)
+
+
+def _write_csv(path: str, header: str, chunks) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header + "\n")
+            fh.writelines(chunks)
     except OSError as exc:
         raise DocumentError(f"cannot write output file: {exc}") from exc
 
@@ -303,13 +324,14 @@ def cmd_dephase_scan(args) -> int:
     params = PauliDiagonalParams(args.n, args.c1, args.c2, args.c3)
     grid = np.linspace(0.0, 1.0, args.p_steps)
     records, report = scan_gqd_vs_p(params, grid)
-    lines = ["p,c1_p,c2_p,c3_p,gqd_bits,active_branch"]
-    for r in records:
-        lines.append(
-            f"{_fmt(r.p)},{_fmt(r.c1_p)},{_fmt(r.c2_p)},{_fmt(r.c3_p)},"
-            f"{_fmt(r.gqd)},{r.active_branch}"
-        )
-    _write_lines(args.out, lines)
+    labels = np.array(records.BRANCHES, dtype=object)[records.branch]
+    # c3 is not dephased, so its text is part of the row template.
+    template = f"%.12g,%.12g,%.12g,{_fmt(params.c3)},%.12g,%s\n"
+    _write_csv(
+        args.out,
+        "p,c1_p,c2_p,c3_p,gqd_bits,active_branch",
+        _csv_chunks(template, records.p, records.c1_p, records.c2_p, records.gqd, labels),
+    )
     if report.predicted_transition_p is None:
         print("predicted transition: none")
     else:
@@ -394,7 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the self-check suites")
     p_verify.add_argument("--scope", choices=SCOPES, default="all")
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument(
+        "--trials", type=int, default=100,
+        help=f"trials per check, at most {MAX_TRIALS} (default 100)",
+    )
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -14,6 +14,8 @@ and, for even qubit numbers, an exactly frozen plateau before it.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,7 @@ __all__ = [
     "dephase_pauli_params",
     "sudden_transition_point",
     "SweepRecord",
+    "SweepRecords",
     "PlateauInterval",
     "ScanReport",
     "scan_gqd_vs_p",
@@ -103,6 +106,44 @@ class SweepRecord:
     active_branch: str
 
 
+# Branch codes, indices into SweepRecords.BRANCHES.
+_X, _Y, _Z = range(3)
+
+
+class SweepRecords(Sequence):
+    """The grid points of a dephasing scan, held as columns.
+
+    ``p``, ``c1_p``, ``c2_p``, ``c3_p`` and ``gqd`` are float arrays, and
+    ``branch`` is an ``int8`` array of indices into ``BRANCHES``. An integer
+    index (negative ones included) and iteration build one
+    :class:`SweepRecord` per point asked for; a slice gives the
+    ``SweepRecords`` of those points.
+    """
+
+    BRANCHES = ("x_dominant", "y_dominant", "z_dominant")
+    __slots__ = ("p", "c1_p", "c2_p", "c3_p", "gqd", "branch")
+
+    def __init__(self, p, c1_p, c2_p, c3_p, gqd, branch):
+        self.p, self.c1_p, self.c2_p, self.c3_p = p, c1_p, c2_p, c3_p
+        self.gqd, self.branch = gqd, branch
+
+    def __len__(self) -> int:
+        return len(self.p)
+
+    def __getitem__(self, i):
+        columns = [getattr(self, name) for name in self.__slots__]
+        if isinstance(i, slice):
+            return SweepRecords(*(c[i] for c in columns))
+        i = range(len(self.p))[operator.index(i)]
+        *values, code = (c[i] for c in columns)
+        return SweepRecord(*map(float, values), self.BRANCHES[code])
+
+    def __iter__(self):
+        *values, code = (getattr(self, name) for name in self.__slots__)
+        labels = np.array(self.BRANCHES, dtype=object)[code]
+        return map(SweepRecord, *(c.tolist() for c in values), labels.tolist())
+
+
 @dataclass(frozen=True)
 class PlateauInterval:
     """Maximal grid window where the discord stays flat within tolerance."""
@@ -120,19 +161,18 @@ class ScanReport:
     plateaus: tuple[PlateauInterval, ...]
 
 
-def _active_branches(params: PauliDiagonalParams, factor: np.ndarray) -> list[str]:
-    """Which coefficient magnitude attains ``c`` at each ``1 - p`` in ``factor``.
+def _active_branches(params: PauliDiagonalParams, factor: np.ndarray) -> np.ndarray:
+    """Code of the coefficient magnitude that attains ``c`` at each ``1 - p``.
 
     Ties go to the longitudinal branch, except in the fully-dephased corner
     of a ``c3 = 0`` state, where the branch follows the initially dominant
     transverse axis so that a scan without a transition keeps one label.
     """
     vz = abs(params.c3)
-    transverse = "x_dominant" if abs(params.c1) >= abs(params.c2) else "y_dominant"
-    if not (vz > 0.0 or (params.c1 == 0.0 and params.c2 == 0.0)):
-        return [transverse] * factor.size
-    z = (vz >= abs(params.c1) * factor) & (vz >= abs(params.c2) * factor)
-    return ["z_dominant" if zi else transverse for zi in z.tolist()]
+    code = np.full(factor.size, _X if abs(params.c1) >= abs(params.c2) else _Y, np.int8)
+    if vz > 0.0 or (params.c1 == 0.0 and params.c2 == 0.0):
+        code[(vz >= abs(params.c1) * factor) & (vz >= abs(params.c2) * factor)] = _Z
+    return code
 
 
 # A second difference counts as a spike above this many times the scan
@@ -145,7 +185,7 @@ _KINK_FLOOR = 1e-9
 _PLATEAU_TOL = 1e-7
 
 
-def _detect_kinks(p_grid: np.ndarray, gqd: np.ndarray, branches):
+def _detect_kinks(p_grid: np.ndarray, gqd: np.ndarray, code: np.ndarray):
     """Slope-discontinuity points, as corroborated detector agreement.
 
     A branch change marks where the dominant coefficient switches, which is
@@ -166,9 +206,7 @@ def _detect_kinks(p_grid: np.ndarray, gqd: np.ndarray, branches):
         return float(second[i - 1]) if 1 <= i <= second.size else 0.0
 
     kinks = []
-    for i in range(1, len(branches)):
-        if branches[i] == branches[i - 1]:
-            continue
+    for i in (np.flatnonzero(code[1:] != code[:-1]) + 1).tolist():
         window = [j for j in (i - 1, i, i + 1) if 1 <= j <= second.size]
         spiked = [j for j in window if sharpness(j) > threshold]
         at = max(spiked, key=sharpness) if spiked else i
@@ -179,47 +217,59 @@ def _detect_kinks(p_grid: np.ndarray, gqd: np.ndarray, branches):
 
 
 def _detect_plateaus(p_grid: np.ndarray, gqd: np.ndarray):
+    """Greedy maximal windows of at least three points spanning ``_PLATEAU_TOL``.
+
+    A greedy window never crosses a step larger than the tolerance, so the
+    grid is first split into the runs where every ``|dg|`` is within it; the
+    greedy scan runs only inside the runs of three points or more.
+    """
+    flat = np.abs(np.diff(gqd)) <= _PLATEAU_TOL
+    edges = np.flatnonzero(np.diff(flat, prepend=False, append=False))
     plateaus = []
-    values = gqd.tolist()
-    i = 0
-    m = len(p_grid)
-    while i < m:
-        j = i
-        lo = hi = values[i]
-        while j + 1 < m:
-            lo2, hi2 = min(lo, values[j + 1]), max(hi, values[j + 1])
-            if hi2 - lo2 > _PLATEAU_TOL:
-                break
-            lo, hi = lo2, hi2
-            j += 1
-        if j - i >= 2:  # at least three grid points
-            plateaus.append(
-                PlateauInterval(
-                    p_start=float(p_grid[i]),
-                    p_end=float(p_grid[j]),
-                    value=float(np.mean(gqd[i : j + 1])),
-                    max_deviation=float(hi - lo),
+    # Run k holds the points edges[2k] ... edges[2k + 1].
+    for first, last in edges.reshape(-1, 2).tolist():
+        if last - first < 2:
+            continue
+        values = gqd[first : last + 1].tolist()
+        i, m = 0, len(values)
+        while i < m:
+            j = i
+            lo = hi = values[i]
+            while j + 1 < m:
+                lo2, hi2 = min(lo, values[j + 1]), max(hi, values[j + 1])
+                if hi2 - lo2 > _PLATEAU_TOL:
+                    break
+                lo, hi = lo2, hi2
+                j += 1
+            if j - i >= 2:  # at least three grid points
+                plateaus.append(
+                    PlateauInterval(
+                        p_start=float(p_grid[first + i]),
+                        p_end=float(p_grid[first + j]),
+                        value=float(np.mean(gqd[first + i : first + j + 1])),
+                        max_deviation=float(hi - lo),
+                    )
                 )
-            )
-        i = j + 1
+            i = j + 1
     return tuple(plateaus)
 
 
 def scan_gqd_vs_p(
     params: PauliDiagonalParams, p_grid
-) -> tuple[list[SweepRecord], ScanReport]:
+) -> tuple[SweepRecords, ScanReport]:
     """Closed-form discord along a dephasing grid, with structure detection.
 
-    Returns one record per grid point plus a report listing the predicted
-    transition strength, detected kinks (a branch change, placed at the
-    second difference above 10 times the scan median), and flat plateaus
-    (windows of at least three points spanning at most 1e-7). The grid is
-    evaluated as one array. Raises ValueError unless it is 1-D with at least
-    three finite, strictly increasing points in [0, 1], and
-    InvalidParamsError naming the first ``p`` whose dephased coefficients
-    are not a positive state.
+    Returns the scan as :class:`SweepRecords` (one column per field, one
+    :class:`SweepRecord` per point on iteration or indexing) plus a report
+    listing the predicted transition strength, detected kinks (a branch
+    change, placed at the second difference above 10 times the scan
+    median), and flat plateaus (windows of at least three points spanning at
+    most 1e-7). The grid is evaluated as one array. Raises ValueError unless
+    it is 1-D with at least three finite, strictly increasing points in
+    [0, 1], and InvalidParamsError naming the first ``p`` whose dephased
+    coefficients are not a positive state.
     """
-    grid = np.asarray(p_grid, dtype=float)
+    grid = np.array(p_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("p_grid must be a 1-D grid with at least 3 points")
     if not np.isfinite(grid).all():
@@ -241,16 +291,10 @@ def scan_gqd_vs_p(
             f"{_report(n, weights[i]).failure_message()}"
         )
     gqd_vals = np.maximum(_pauli_diagonal_bits(n, c1_p, c2_p, c3_p, weights), 0.0)
-    branches = _active_branches(params, factor)
-    records = [
-        SweepRecord(p, c1, c2, params.c3, value, branch)
-        for p, c1, c2, value, branch in zip(
-            grid.tolist(), c1_p.tolist(), c2_p.tolist(), gqd_vals.tolist(), branches
-        )
-    ]
+    code = _active_branches(params, factor)
     report = ScanReport(
         predicted_transition_p=_transition_point(params),
-        kinks=_detect_kinks(grid, gqd_vals, branches),
+        kinks=_detect_kinks(grid, gqd_vals, code),
         plateaus=_detect_plateaus(grid, gqd_vals),
     )
-    return records, report
+    return SweepRecords(grid, c1_p, c2_p, c3_p, gqd_vals, code), report

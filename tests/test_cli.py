@@ -26,13 +26,17 @@ from gqd.cli import (
     save_state_document,
     state_document_from_dict,
 )
-from gqd.cli import _fmt
+from gqd.checks import MAX_TRIALS
+from gqd.cli import _CSV_CHUNK, _csv_chunks, _fmt
 from gqd.discord import (
+    PauliDiagonalParams,
     WernerGhzParams,
+    _werner_ghz_bits,
     gqd_werner_ghz,
     gqd_werner_ghz_asymptotic,
     werner_ghz_state,
 )
+from gqd.dynamics import scan_gqd_vs_p
 from gqd.qcore import random_density_matrix
 
 
@@ -511,6 +515,73 @@ class TestDephaseScan:
         assert not (tmp_path / "s.csv").exists()
 
 
+def per_line_csv(header, rows):
+    """The CSV writers' reference: one f-string per line, each value ``.12g``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWritersMatchPerLineFormatting:
+    """The chunked writers give the bytes of a per-line ``f"{x:.12g}"`` writer."""
+
+    STEPS = [_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1]
+
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_figure1(self, tmp_path, capsys, steps):
+        # Repeated entries, a qubit count past float range and the inf line.
+        n_list = [2, 3, 2, "inf", 1100, "inf"]
+        out_path = tmp_path / "fig.csv"
+        code, out, err = run_cli(
+            capsys, "figure1", "--n-list", ",".join(map(str, n_list)),
+            "--mu-steps", str(steps), "--out", str(out_path),
+        )
+        assert (code, out, err) == (EXIT_OK, "", "")
+        mus = np.linspace(0.0, 1.0, steps)
+        rows = []
+        for n in n_list:
+            values = mus if n == "inf" else _werner_ghz_bits(n, mus)
+            rows += [(mu, n, v) for mu, v in zip(mus.tolist(), values.tolist())]
+        assert out_path.read_bytes() == per_line_csv("mu,n,gqd_bits", rows).encode()
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize(
+        "n, c",
+        [
+            # Rounding dust on the zero curve; c1 * (1 - 1) = -0.
+            (2, (-0.6, 0.0, 0.0)),
+            # c3 = -0 in every row.
+            (4, (0.5, -0.3, -0.0)),
+            (2, (1.0, -0.6, 0.6)),
+            (5, (0.2, -0.7, 0.3)),
+        ],
+    )
+    def test_dephase_scan(self, tmp_path, capsys, steps, n, c):
+        out_path = tmp_path / "scan.csv"
+        code, _, err = run_cli(
+            capsys, "dephase-scan", "--n", str(n), "--c1", repr(c[0]), "--c2", repr(c[1]),
+            "--c3", repr(c[2]), "--p-steps", str(steps), "--out", str(out_path),
+        )
+        assert (code, err) == (EXIT_OK, "")
+        records, _ = scan_gqd_vs_p(
+            PauliDiagonalParams(n, *c), np.linspace(0.0, 1.0, steps)
+        )
+        rows = [(r.p, r.c1_p, r.c2_p, r.c3_p, r.gqd, r.active_branch) for r in records]
+        expected = per_line_csv("p,c1_p,c2_p,c3_p,gqd_bits,active_branch", rows)
+        assert out_path.read_bytes() == expected.encode()
+
+    def test_template_formats_edge_values_as_the_f_string(self):
+        edge = [1e-17, 5.78442615864e-17, -1e-17, 2.220446049250313e-16, -0.0, 0.0,
+                math.inf, -math.inf, math.nan, 0.1 + 0.2, 1e300, 5e-324, 123456789012.5]
+        values = np.resize(np.array(edge), _CSV_CHUNK + 1)
+        labels = np.resize(np.array(["x_dominant", "z_dominant"], dtype=object), values.size)
+        text = "".join(_csv_chunks("%.12g,%s\n", values, labels))
+        expected = per_line_csv("h", zip(values.tolist(), labels.tolist()))
+        assert "h\n" + text == expected
+        assert "\n-0,x_dominant\n" in text and "\n1e-17," in text and "\ninf," in text
+
+
 class TestGridEdgesLeaveStderrEmpty:
     """Zero weights at the grid edges must not reach log2 or a division."""
 
@@ -547,6 +618,29 @@ class TestVerify:
                 main(["verify", "--scope", "lemmas", "--trials", "1", flag, "3"])
             assert exc.value.code == EXIT_INVALID_INPUT, flag
         assert capsys.readouterr().out == ""
+
+    def test_rejects_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--scope", "lemmas", "--seed", "-1")
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("trials", [0, MAX_TRIALS + 1, 10**30])
+    def test_rejects_trials_outside_the_cap_before_any_check(
+        self, capsys, monkeypatch, trials
+    ):
+        from gqd import checks
+
+        def forbidden(*args):
+            raise AssertionError("a check ran before --trials was checked")
+
+        for name in dir(checks):
+            if name.startswith("check_"):
+                monkeypatch.setattr(checks, name, forbidden)
+        code, out, err = run_cli(capsys, "verify", "--trials", str(trials))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == f"error: trials must lie in [1, {MAX_TRIALS}], got {trials}\n"
 
     def test_theorem_scope_passes(self, capsys):
         # reduced trial count: the full default is exercised manually, this

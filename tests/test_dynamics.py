@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gqd.checks import random_valid_pauli_params
 from gqd.discord import (
@@ -15,6 +17,10 @@ from gqd.discord import (
     validate_pauli_params,
 )
 from gqd.dynamics import (
+    PlateauInterval,
+    SweepRecord,
+    SweepRecords,
+    _detect_plateaus,
     dephase_pauli_params,
     phase_damping,
     scan_gqd_vs_p,
@@ -252,3 +258,174 @@ class TestScan:
             scan_gqd_vs_p(params, np.array([0.0, 0.5, 1.5]))
         with pytest.raises(ValueError):
             scan_gqd_vs_p(params, np.linspace(0, 1, 12).reshape(3, 4))
+
+
+# Per-point references for the columnar scan: the record list, branch labels,
+# kink loop and greedy plateau scan as they were before the scan held its
+# results as columns.
+
+
+def reference_branches(params, factor):
+    vz = abs(params.c3)
+    transverse = "x_dominant" if abs(params.c1) >= abs(params.c2) else "y_dominant"
+    if not (vz > 0.0 or (params.c1 == 0.0 and params.c2 == 0.0)):
+        return [transverse] * factor.size
+    z = (vz >= abs(params.c1) * factor) & (vz >= abs(params.c2) * factor)
+    return ["z_dominant" if zi else transverse for zi in z.tolist()]
+
+
+def reference_records(params, grid, gqd):
+    factor = 1.0 - grid
+    branches = reference_branches(params, factor)
+    return [
+        SweepRecord(p, c1, c2, params.c3, value, branch)
+        for p, c1, c2, value, branch in zip(
+            grid.tolist(), (params.c1 * factor).tolist(),
+            (params.c2 * factor).tolist(), gqd.tolist(), branches,
+        )
+    ]
+
+
+def reference_kinks(grid, gqd, branches):
+    second = np.abs(gqd[:-2] - 2.0 * gqd[1:-1] + gqd[2:])
+    threshold = max(10.0 * float(np.median(second)), 1e-9)
+
+    def sharpness(i):
+        return float(second[i - 1]) if 1 <= i <= second.size else 0.0
+
+    kinks = []
+    for i in range(1, len(branches)):
+        if branches[i] == branches[i - 1]:
+            continue
+        window = [j for j in (i - 1, i, i + 1) if 1 <= j <= second.size]
+        spiked = [j for j in window if sharpness(j) > threshold]
+        at = max(spiked, key=sharpness) if spiked else i
+        p = float(grid[at])
+        if not kinks or p != kinks[-1]:
+            kinks.append(p)
+    return tuple(kinks)
+
+
+def reference_plateaus(grid, gqd):
+    plateaus = []
+    values = gqd.tolist()
+    i, m = 0, len(grid)
+    while i < m:
+        j = i
+        lo = hi = values[i]
+        while j + 1 < m:
+            lo2, hi2 = min(lo, values[j + 1]), max(hi, values[j + 1])
+            if hi2 - lo2 > 1e-7:
+                break
+            lo, hi = lo2, hi2
+            j += 1
+        if j - i >= 2:
+            plateaus.append(PlateauInterval(
+                float(grid[i]), float(grid[j]), float(np.mean(gqd[i : j + 1])), float(hi - lo)
+            ))
+        i = j + 1
+    return tuple(plateaus)
+
+
+def assert_scan_matches_reference(params, grid):
+    records, report = scan_gqd_vs_p(params, grid)
+    assert list(records) == reference_records(params, grid, records.gqd)
+    branches = reference_branches(params, 1.0 - grid)
+    assert report.kinks == reference_kinks(grid, records.gqd, branches)
+    assert report.plateaus == reference_plateaus(grid, records.gqd)
+    return records, report
+
+
+class TestColumnarScan:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_the_per_point_reference(self, n):
+        rng = np.random.default_rng(RNG_SEED + 100 + n)
+        wanted = {True: 3, False: 3}
+        while any(wanted.values()):
+            params = random_valid_pauli_params(n, rng)
+            transition = sudden_transition_point(params) is not None
+            if wanted[transition]:
+                wanted[transition] -= 1
+                for steps in (2001, 101):
+                    assert_scan_matches_reference(params, np.linspace(0.0, 1.0, steps))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # c = (0.6, 0, 0) at even N has zero discord all along the scan;
+            # the values are rounding dust.
+            PauliDiagonalParams(2, 0.6, 0.0, 0.0),
+            PauliDiagonalParams(4, 0.6, 0.0, 0.0),
+            PauliDiagonalParams(6, 0.6, 0.0, 0.0),
+            # The frozen discord before p* = 0.4.
+            PauliDiagonalParams(2, 1.0, -0.6, 0.6),
+        ],
+    )
+    def test_curves_with_plateaus(self, params):
+        _, report = assert_scan_matches_reference(params, np.linspace(0.0, 1.0, 2001))
+        assert report.plateaus
+
+    def test_whole_grid_plateau(self):
+        grid = np.linspace(0.0, 1.0, 2001)
+        _, report = assert_scan_matches_reference(PauliDiagonalParams(3, 0.0, 0.0, 0.5), grid)
+        assert [(pl.p_start, pl.p_end) for pl in report.plateaus] == [(0.0, 1.0)]
+
+    def test_greedy_split_inside_a_run(self):
+        # Every step of 4e-8 is within the 1e-7 tolerance, but four points
+        # span 1.2e-7, so the one run splits into windows of three points.
+        gqd = 0.3 + 4e-8 * np.arange(50)
+        grid = np.linspace(0.0, 1.0, 50)
+        plateaus = _detect_plateaus(grid, gqd)
+        assert plateaus == reference_plateaus(grid, gqd)
+        assert len(plateaus) == 16
+
+    def test_step_of_exactly_the_tolerance_stays_inside_a_plateau(self):
+        gqd = np.array([0.5, 0.0, 0.0, 1e-7, 1e-7, 0.5])
+        grid = np.linspace(0.0, 1.0, gqd.size)
+        plateaus = _detect_plateaus(grid, gqd)
+        assert plateaus == reference_plateaus(grid, gqd)
+        assert [(pl.p_start, pl.p_end) for pl in plateaus] == [(grid[1], grid[4])]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1.0),
+                st.integers(1, 12),
+                st.sampled_from([0.0, 1e-9, 3e-8, 6e-8, 1e-7, 2e-7, 1e-3]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_plateaus_of_piecewise_flat_arrays(self, pieces, seed):
+        rng = np.random.default_rng(seed)
+        gqd = np.concatenate(
+            [level + noise * rng.uniform(-1.0, 1.0, size) for level, size, noise in pieces]
+        )
+        grid = np.linspace(0.0, 1.0, gqd.size)
+        assert _detect_plateaus(grid, gqd) == reference_plateaus(grid, gqd)
+
+    def test_sequence_protocol(self):
+        params = PauliDiagonalParams(2, 0.5, 0.1, 0.2)
+        grid = np.linspace(0.0, 1.0, 11)
+        records, _ = scan_gqd_vs_p(params, grid)
+        assert isinstance(records, SweepRecords)
+        assert isinstance(records.gqd, np.ndarray) and records.branch.dtype == np.int8
+        expected = reference_records(params, grid, records.gqd)
+        assert len(records) == 11
+        assert list(records) == expected
+        assert records[0] == expected[0]
+        assert records[-1] == expected[-1] == records[10]
+        assert records[-11] == expected[0]
+        assert list(records[2:5]) == expected[2:5]
+        for bad in (11, -12):
+            with pytest.raises(IndexError):
+                records[bad]
+
+    def test_records_do_not_share_the_callers_grid(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        records, _ = scan_gqd_vs_p(PauliDiagonalParams(2, 0.5, 0.1, 0.2), grid)
+        grid[:] = 0.5
+        assert records[0].p == 0.0
