@@ -3,27 +3,26 @@
 Numeric minimization over local projective measurements, closed forms for
 GHZ-plus-noise and Pauli-string mixtures, and phase-damping scans that
 detect sudden transitions and frozen plateaus.
+
+This namespace exports what the CLI, the README and the acceptance suite
+use. Reference routes that only cross-check these, such as
+``measurement.apply_local_measurement``, ``qcore.relative_entropy``,
+``dynamics.phase_damping`` and ``dynamics.dephase_pauli_params``, live in
+their modules.
 """
 
 from .qcore import (
     BlochVector,
     DensityMatrix,
-    Spectrum,
     StateValidationError,
     binary_entropy,
-    maximally_mixed,
     mutual_information,
     partial_trace,
-    pauli_string,
-    pure_state,
-    relative_entropy,
     shannon_entropy,
     tensor_product,
-    von_neumann_entropy,
 )
 from .measurement import (
     LocalMeasurement,
-    apply_local_measurement,
     measurement_objective,
     pinch_matrix,
     relative_entropy_objective,
@@ -36,13 +35,11 @@ from .discord import (
     QubitLimitError,
     ValidationReport,
     WernerGhzParams,
-    ghz_vector,
     gqd_maximally_mixed,
     gqd_numeric,
     gqd_pauli_diagonal,
     gqd_werner_ghz,
     gqd_werner_ghz_asymptotic,
-    pauli_diagonal_spectrum,
     pauli_diagonal_state,
     validate_pauli_params,
     werner_ghz_state,
@@ -52,8 +49,6 @@ from .dynamics import (
     ScanReport,
     SweepRecord,
     SweepRecords,
-    dephase_pauli_params,
-    phase_damping,
     scan_gqd_vs_p,
     sudden_transition_point,
 )
@@ -63,20 +58,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochVector",
     "DensityMatrix",
-    "Spectrum",
     "StateValidationError",
     "binary_entropy",
-    "maximally_mixed",
     "mutual_information",
     "partial_trace",
-    "pauli_string",
-    "pure_state",
-    "relative_entropy",
     "shannon_entropy",
     "tensor_product",
-    "von_neumann_entropy",
     "LocalMeasurement",
-    "apply_local_measurement",
     "measurement_objective",
     "pinch_matrix",
     "relative_entropy_objective",
@@ -87,13 +75,11 @@ __all__ = [
     "QubitLimitError",
     "ValidationReport",
     "WernerGhzParams",
-    "ghz_vector",
     "gqd_maximally_mixed",
     "gqd_numeric",
     "gqd_pauli_diagonal",
     "gqd_werner_ghz",
     "gqd_werner_ghz_asymptotic",
-    "pauli_diagonal_spectrum",
     "pauli_diagonal_state",
     "validate_pauli_params",
     "werner_ghz_state",
@@ -101,8 +87,6 @@ __all__ = [
     "ScanReport",
     "SweepRecord",
     "SweepRecords",
-    "dephase_pauli_params",
-    "phase_damping",
     "scan_gqd_vs_p",
     "sudden_transition_point",
     "__version__",

@@ -26,7 +26,6 @@ from .measurement import LocalMeasurement, _entropy_objective
 from .qcore import (
     BlochVector,
     DensityMatrix,
-    Spectrum,
     _binary_entropy_bits,
     _entropy_bits,
     mutual_information,
@@ -43,16 +42,13 @@ __all__ = [
     "ConstraintCheck",
     "ValidationReport",
     "validate_pauli_params",
-    "require_valid_pauli_params",
     "OptimizerOptions",
     "OptimizerDiagnostics",
     "GqdResult",
-    "ghz_vector",
     "werner_ghz_state",
     "gqd_werner_ghz",
     "gqd_werner_ghz_asymptotic",
     "pauli_diagonal_state",
-    "pauli_diagonal_spectrum",
     "gqd_pauli_diagonal",
     "gqd_numeric",
     "gqd_maximally_mixed",
@@ -209,19 +205,6 @@ def validate_pauli_params(params: PauliDiagonalParams) -> ValidationReport:
     return _report(params.n_qubits, _pauli_weights(params.n_qubits, *params.coefficients()))
 
 
-def require_valid_pauli_params(params: PauliDiagonalParams) -> None:
-    _checked_weights(params)
-
-
-def ghz_vector(n_qubits: int) -> np.ndarray:
-    """State vector ``(|0...0> + |1...1>) / sqrt(2)``."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    v = np.zeros(2**n_qubits, dtype=np.complex128)
-    v[0] = v[-1] = 1.0 / math.sqrt(2.0)
-    return v
-
-
 def werner_ghz_state(params: WernerGhzParams) -> DensityMatrix:
     """Dense matrix of the GHZ-plus-white-noise mixture."""
     n, mu = params.n_qubits, params.mu
@@ -278,7 +261,7 @@ def gqd_werner_ghz_asymptotic(mu: float) -> float:
 
 def pauli_diagonal_state(params: PauliDiagonalParams) -> DensityMatrix:
     """Dense matrix ``(I + c1 X...X + c2 Y...Y + c3 Z...Z) / 2**n``."""
-    require_valid_pauli_params(params)
+    _checked_weights(params)
     n = params.n_qubits
     d = 2**n
     mat = np.eye(d, dtype=np.complex128)
@@ -286,25 +269,6 @@ def pauli_diagonal_state(params: PauliDiagonalParams) -> DensityMatrix:
         if c != 0.0:
             mat += c * pauli_string(axis, n)
     return DensityMatrix(mat / d)
-
-
-def pauli_diagonal_spectrum(params: PauliDiagonalParams) -> Spectrum:
-    """Exact eigenvalues of the state, with multiplicities expanded.
-
-    Even ``n``: the four values ``lambda_j / 2**(n-2)`` each repeated
-    ``2**(n-2)`` times. Odd ``n``: ``(1 +/- d) / 2**n`` each repeated
-    ``2**(n-1)`` times.
-    """
-    w = _checked_weights(params)
-    n = params.n_qubits
-    if n % 2:
-        d = float(w[0])
-        vals = np.repeat(
-            [(1.0 + d) / 2**n, (1.0 - d) / 2**n], 2 ** (n - 1)
-        )
-    else:
-        vals = np.repeat(np.clip(w, 0.0, None) / 2 ** (n - 2), 2 ** (n - 2))
-    return Spectrum(vals)
 
 
 def _pauli_diagonal_bits(n_qubits: int, c1, c2, c3, weights: np.ndarray):
@@ -349,9 +313,9 @@ class OptimizerOptions:
     ``maxfun``: checked when an iteration ends), and ``f_tol`` (finite and
     at least 0) is its relative-decrease stopping tolerance (L-BFGS-B
     ``ftol``). ``threads`` (at least 0) splits the stack of starts into that
-    many contiguous chunks run on a thread pool, overriding the
-    ``GQD_THREADS`` environment variable; 0 means one thread per CPU,
-    capped by the number of starts. The result does not depend on it.
+    many contiguous chunks run on a thread pool; None (the default) runs
+    them in one stack, and 0 means one thread per CPU, capped by the number
+    of starts. The result does not depend on it.
     ``seed`` (at least 0) seeds the random starts. Every field but
     ``f_tol`` is a plain ``int``. Construction raises
     :class:`InvalidParamsError` for a value of another type or out of these
@@ -428,15 +392,7 @@ class GqdResult:
 
 def _resolve_threads(requested: int | None, n_tasks: int) -> int:
     if requested is None:
-        env = os.environ.get("GQD_THREADS", "").strip()
-        if not env:
-            return 1
-        try:
-            requested = int(env)
-        except ValueError:
-            requested = -1
-        if requested < 0:
-            raise ValueError(f"GQD_THREADS must be an integer >= 0, got {env!r}")
+        return 1
     if requested == 0:
         requested = os.cpu_count() or 1
     return max(1, min(requested, n_tasks))

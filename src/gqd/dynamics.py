@@ -23,11 +23,11 @@ import numpy as np
 from .discord import (
     InvalidParamsError,
     PauliDiagonalParams,
+    _checked_weights,
     _pauli_diagonal_bits,
     _pauli_weights,
     _positive,
     _report,
-    require_valid_pauli_params,
 )
 from .qcore import DensityMatrix, PAULI_Z, apply_single_qubit_operators
 
@@ -69,7 +69,7 @@ def dephase_pauli_params(params: PauliDiagonalParams, p: float) -> PauliDiagonal
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    require_valid_pauli_params(params)
+    _checked_weights(params)
     factor = 1.0 - p
     return PauliDiagonalParams(
         params.n_qubits, params.c1 * factor, params.c2 * factor, params.c3
@@ -82,7 +82,7 @@ def sudden_transition_point(params: PauliDiagonalParams) -> float | None:
     Exists only when ``0 < |c3| < max(|c1|, |c2|)`` strictly; returns None
     otherwise (including ties, where the curve has no interior kink).
     """
-    require_valid_pauli_params(params)
+    _checked_weights(params)
     return _transition_point(params)
 
 
@@ -276,7 +276,7 @@ def scan_gqd_vs_p(
         raise ValueError("p_grid entries must be finite")
     if grid[0] < 0.0 or grid[-1] > 1.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("p_grid must increase strictly within [0, 1]")
-    require_valid_pauli_params(params)
+    _checked_weights(params)
 
     n = params.n_qubits
     factor = 1.0 - grid

@@ -30,7 +30,6 @@ __all__ = [
     "StateValidationError",
     "DensityMatrix",
     "BlochVector",
-    "Spectrum",
     "tensor_product",
     "pauli_string",
     "partial_trace",
@@ -144,9 +143,6 @@ class DensityMatrix:
         """Eigenvalues in ascending order, as cached at validation time."""
         return self._eigs_ascending.copy()
 
-    def spectrum(self) -> "Spectrum":
-        return Spectrum(self._eigs_ascending)
-
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -158,7 +154,8 @@ class BlochVector:
 
     def __post_init__(self):
         norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
+        # Written as "not <=" so that a NaN component fails too.
+        if not abs(norm - 1.0) <= UNIT_NORM_TOL:
             raise ValueError(
                 f"Bloch vector must have unit norm within {UNIT_NORM_TOL:.1e}, "
                 f"got norm {norm!r}"
@@ -169,34 +166,6 @@ class BlochVector:
 
     def antipode(self) -> "BlochVector":
         return BlochVector(-self.x, -self.y, -self.z)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue list of a state, stored sorted in descending order.
-
-    Entries must lie in ``[-1e-9, 1 + 1e-9]`` and sum to 1 within 1e-9.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.sort(np.asarray(self.values, dtype=float))[::-1].copy()
-        if vals.size == 0:
-            raise ValueError("spectrum must be non-empty")
-        if vals[-1] < -PSD_TOL or vals[0] > 1.0 + PSD_TOL:
-            raise ValueError(
-                f"spectrum entries must lie in [-{PSD_TOL:.1e}, 1+{PSD_TOL:.1e}], "
-                f"got range [{vals[-1]!r}, {vals[0]!r}]"
-            )
-        total = float(vals.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"spectrum sums to {total!r}, expected 1 within 1e-9")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def entropy_bits(self) -> float:
-        return shannon_entropy(self.values)
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -260,10 +229,12 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def shannon_entropy(weights) -> float:
     """Entropy in bits of a probability vector, with ``0 log2 0 = 0``.
 
-    Entries in ``[-1e-9, 0)`` are clipped to zero; anything lower raises.
+    Entries in ``[-1e-9, 0)`` are clipped to zero; anything lower, or NaN,
+    raises.
     """
     w = np.asarray(weights, dtype=float)
-    if w.size and float(w.min()) < -PSD_TOL:
+    # NaN propagates through min() and fails "not >=".
+    if w.size and not float(w.min()) >= -PSD_TOL:
         raise ValueError(
             f"probability vector has entry {float(w.min())!r} below -{PSD_TOL:.1e}"
         )
@@ -293,10 +264,10 @@ def binary_entropy(p: float) -> float:
     """Entropy in bits of the distribution ``(p, 1 - p)``.
 
     Like :func:`shannon_entropy`, clips entries in ``[-1e-9, 0)`` to zero and
-    raises on anything lower.
+    raises on anything lower or on NaN.
     """
     low = min(p, 1.0 - p)
-    if low < -PSD_TOL:
+    if not low >= -PSD_TOL:
         raise ValueError(
             f"probability vector has entry {float(low)!r} below -{PSD_TOL:.1e}"
         )

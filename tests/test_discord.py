@@ -16,17 +16,15 @@ from gqd.discord import (
     QubitLimitError,
     WernerGhzParams,
     _GRAD_TOL,
+    _pauli_weights,
     _run_starts,
     _start_points,
-    ghz_vector,
     gqd_maximally_mixed,
     gqd_numeric,
     gqd_pauli_diagonal,
     gqd_werner_ghz,
     gqd_werner_ghz_asymptotic,
-    pauli_diagonal_spectrum,
     pauli_diagonal_state,
-    require_valid_pauli_params,
     validate_pauli_params,
     werner_ghz_state,
 )
@@ -63,7 +61,8 @@ class TestWernerGhzFamily:
     def test_state_matches_dense_construction(self):
         for n, mu in [(2, 0.3), (3, 0.8)]:
             params = WernerGhzParams(n, mu)
-            v = ghz_vector(n)
+            v = np.zeros(2**n)
+            v[0] = v[-1] = 1 / np.sqrt(2)
             dense = (1 - mu) * np.eye(2**n) / 2**n + mu * np.outer(v, v.conj())
             assert np.allclose(werner_ghz_state(params).matrix, dense, atol=1e-15)
 
@@ -150,19 +149,22 @@ class TestPauliDiagonalFamily:
         dense /= 2**n
         assert np.allclose(pauli_diagonal_state(params).matrix, dense, atol=1e-15)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_spectrum_matches_eigensolver(self, n):
+        # The bounds on _pauli_weights are positivity bounds because the
+        # weights give the spectrum: even n has lambda_j / 2^(n-2), each
+        # 2^(n-2) times; odd n has (1 +/- d) / 2^n, each 2^(n-1) times.
         rng = np.random.default_rng(RNG_SEED)
         for _ in range(5):
             params = random_valid_pauli_params(n, rng)
-            want = np.sort(np.linalg.eigvalsh(pauli_diagonal_state(params).matrix))
-            got = np.sort(pauli_diagonal_spectrum(params).values)
-            assert np.allclose(got, want, atol=1e-10)
-
-    def test_spectrum_odd_n_two_level_structure(self):
-        s = pauli_diagonal_spectrum(PauliDiagonalParams(3, 0.0, 0.0, 0.8))
-        want = np.array([0.225] * 4 + [0.025] * 4)
-        assert np.allclose(s.values, want, atol=1e-12)
+            w = _pauli_weights(n, *params.coefficients())
+            if n % 2:
+                levels = [(1.0 + w[0]) / 2**n, (1.0 - w[0]) / 2**n]
+                got = np.repeat(levels, 2 ** (n - 1))
+            else:
+                got = np.repeat(w / 2 ** (n - 2), 2 ** (n - 2))
+            want = np.linalg.eigvalsh(pauli_diagonal_state(params).matrix)
+            assert np.allclose(np.sort(got), want, atol=1e-10)
 
     @pytest.mark.parametrize(
         "params,expected",
@@ -204,9 +206,9 @@ class TestPauliDiagonalFamily:
         with pytest.raises(InvalidParamsError):
             gqd_pauli_diagonal(PauliDiagonalParams(n, 1e200, 1e308, -1e308))
 
-    def test_require_valid_raises(self):
+    def test_invalid_coefficients_raise(self):
         with pytest.raises(InvalidParamsError, match="lambda"):
-            require_valid_pauli_params(PauliDiagonalParams(2, 0.8, 0.2, 0.3))
+            pauli_diagonal_state(PauliDiagonalParams(2, 0.8, 0.2, 0.3))
         with pytest.raises(InvalidParamsError):
             gqd_pauli_diagonal(PauliDiagonalParams(2, 0.8, 0.2, 0.3))
 
@@ -228,12 +230,12 @@ class TestPauliDiagonalFamily:
             base = random_valid_pauli_params(n, rng)
             c1, c2, c3 = base.coefficients()
             ref = gqd_pauli_diagonal(base)
-            lam_ref = np.sort(pauli_diagonal_spectrum(base).values)
+            lam_ref = np.sort(_pauli_weights(n, c1, c2, c3))
             for flip in [(-1, -1, 1), (-1, 1, -1), (1, -1, -1)]:
                 p = PauliDiagonalParams(n, flip[0] * c1, flip[1] * c2, flip[2] * c3)
                 # flipping two signs permutes the four spectral weights
                 assert np.allclose(
-                    np.sort(pauli_diagonal_spectrum(p).values), lam_ref, atol=1e-12
+                    np.sort(_pauli_weights(n, *p.coefficients())), lam_ref, atol=1e-12
                 )
                 assert math.isclose(gqd_pauli_diagonal(p), ref, abs_tol=1e-12)
 
@@ -412,7 +414,7 @@ class TestObjectiveGradient:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_finite_on_pure_ghz_where_outcomes_vanish(self, n):
-        rho = DensityMatrix(np.outer(ghz_vector(n), ghz_vector(n).conj()))
+        rho = werner_ghz_state(WernerGhzParams(n, 1.0))
         rng = np.random.default_rng(RNG_SEED)
         points = _start_points(n, OptimizerOptions(starts=3))
         points.append(rng.normal(size=3 * n))
@@ -519,12 +521,6 @@ class TestOptimizerOptions:
         opts = OptimizerOptions(f_tol=0.0, max_evals_per_start=1, starts=1, threads=0)
         res = gqd_numeric(werner_ghz_state(WernerGhzParams(2, 0.5)), opts)
         assert res.diagnostics.starts == 1
-
-    @pytest.mark.parametrize("env", ["-1", "two"])
-    def test_rejects_bad_thread_environment(self, monkeypatch, env):
-        monkeypatch.setenv("GQD_THREADS", env)
-        with pytest.raises(ValueError, match="GQD_THREADS"):
-            gqd_numeric(werner_ghz_state(WernerGhzParams(2, 0.5)))
 
 
 def rotated_family_state(n: int, rng: np.random.Generator) -> DensityMatrix:

@@ -1,7 +1,10 @@
 """Tests for local projective measurements and pinching maps."""
 
+import importlib
 import itertools
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,22 +376,50 @@ class TestObjectives:
         assert abs(measurement_objective(maximally_mixed(3), m)) <= 1e-12
 
 
-class TestPublicSurface:
-    def test_lemma_helpers_stay_in_their_modules(self):
-        import gqd
-        import gqd.measurement
-        import gqd.qcore
+README = Path(__file__).resolve().parents[1] / "README.md"
 
-        helpers = {
-            "bloch_rotation": gqd.qcore,
-            "majorizes": gqd.qcore,
-            "diagonal_pinch": gqd.qcore,
-            "projectors": gqd.measurement,
-            "rotation_to_z": gqd.measurement,
-        }
-        for name, module in helpers.items():
-            assert name not in gqd.__all__
-            assert not hasattr(gqd, name), name
-            assert callable(getattr(module, name))
-        for name in gqd.__all__:
-            assert hasattr(gqd, name), name
+# What the CLI, the README, the acceptance suite and the benchmark take from
+# the top-level package.
+PUBLIC_NAMES = {
+    "BlochVector", "DensityMatrix", "StateValidationError", "binary_entropy",
+    "mutual_information", "partial_trace", "shannon_entropy", "tensor_product",
+    "LocalMeasurement", "measurement_objective", "pinch_matrix",
+    "relative_entropy_objective",
+    "GqdResult", "InvalidParamsError", "OptimizerOptions", "PauliDiagonalParams",
+    "QubitLimitError", "ValidationReport", "WernerGhzParams",
+    "gqd_maximally_mixed", "gqd_numeric", "gqd_pauli_diagonal", "gqd_werner_ghz",
+    "gqd_werner_ghz_asymptotic", "pauli_diagonal_state", "validate_pauli_params",
+    "werner_ghz_state",
+    "PlateauInterval", "ScanReport", "SweepRecord", "SweepRecords",
+    "scan_gqd_vs_p", "sudden_transition_point",
+    "__version__",
+}
+
+
+class TestPublicSurface:
+    def test_exports_exactly_the_public_names(self):
+        import gqd
+
+        assert set(gqd.__all__) == PUBLIC_NAMES
+        assert len(gqd.__all__) == len(PUBLIC_NAMES)
+        public = {name for name in vars(gqd) if not name.startswith("_")}
+        # Besides the exports, only the submodules are attributes of gqd.
+        assert all(isinstance(getattr(gqd, name), types.ModuleType)
+                   for name in public - PUBLIC_NAMES)
+
+    @pytest.mark.parametrize(
+        "module",
+        ["gqd", "gqd.qcore", "gqd.measurement", "gqd.discord", "gqd.dynamics",
+         "gqd.lbfgs", "gqd.checks", "gqd.cli"],
+    )
+    def test_every_module_export_resolves(self, module):
+        mod = importlib.import_module(module)
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"{module}.{name}"
+
+    def test_readme_quick_start_runs(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Library quick start", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert "from gqd import" in block
+        exec(compile(block, str(README), "exec"), {})

@@ -11,7 +11,6 @@ from gqd.qcore import (
     _entropy_bits,
     BlochVector,
     DensityMatrix,
-    Spectrum,
     StateValidationError,
     apply_single_qubit_operators,
     binary_entropy,
@@ -88,10 +87,9 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
-    def test_eigenvalues_ascending_and_spectrum_descending(self):
+    def test_eigenvalues_ascending(self):
         rho = DensityMatrix(np.diag([0.7, 0.3, 0.0, 0.0]))
         assert np.allclose(rho.eigenvalues(), [0.0, 0.0, 0.3, 0.7], atol=1e-12)
-        assert np.allclose(rho.spectrum().values, [0.7, 0.3, 0.0, 0.0], atol=1e-12)
 
     def test_eigendecomposition_reconstructs_state(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -107,25 +105,14 @@ class TestBlochVector:
         with pytest.raises(ValueError, match="unit"):
             BlochVector(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_components(self, bad):
+        with pytest.raises(ValueError, match="unit"):
+            BlochVector(bad, 0.0, 0.0)
+
     def test_antipode_negates(self):
         v = BlochVector(0.48, -0.6, 0.64)
         assert np.allclose(v.antipode().as_array(), -v.as_array(), atol=1e-15)
-
-
-class TestSpectrum:
-    def test_sorts_descending(self):
-        s = Spectrum(np.array([0.1, 0.6, 0.3]))
-        assert np.allclose(s.values, [0.6, 0.3, 0.1])
-
-    def test_rejects_non_probability_vector(self):
-        with pytest.raises(ValueError):
-            Spectrum(np.array([0.7, 0.7]))
-        with pytest.raises(ValueError):
-            Spectrum(np.array([1.2, -0.2]))
-
-    def test_entropy_bits(self):
-        s = Spectrum(np.array([0.5, 0.5]))
-        assert math.isclose(s.entropy_bits(), 1.0, abs_tol=1e-12)
 
 
 class TestPauliStrings:
@@ -211,6 +198,14 @@ class TestEntropies:
         for p in (-0.1, 1.1):
             with pytest.raises(ValueError, match="below"):
                 binary_entropy(p)
+
+    def test_entropies_reject_nan(self):
+        with pytest.raises(ValueError, match="nan"):
+            shannon_entropy([math.nan, 1.0])
+        with pytest.raises(ValueError, match="nan"):
+            shannon_entropy(np.array([0.5, 0.5, math.nan]))
+        with pytest.raises(ValueError, match="nan"):
+            binary_entropy(math.nan)
 
     def test_entropy_bits_reduces_each_row_on_its_own(self):
         rng = np.random.default_rng(RNG_SEED)
