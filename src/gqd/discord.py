@@ -165,17 +165,19 @@ def _pauli_weights(n_qubits: int, c1, c2, c3) -> np.ndarray:
         ).T
 
 
-def _positive(n_qubits: int, weights: np.ndarray) -> np.ndarray:
-    """Mask of the points whose :func:`_pauli_weights` pass their bounds."""
-    if n_qubits % 2:
-        return weights[..., 0] <= 1.0 + _PARAM_TOL
-    return ((weights >= -_PARAM_TOL) & (weights <= 1.0 + _PARAM_TOL)).all(axis=-1)
+def _in_bounds(weights: np.ndarray) -> np.ndarray:
+    """Elementwise: whether each :func:`_pauli_weights` entry lies in ``[0, 1]``.
+
+    One rule for both parities, since ``d`` is a square root and so never
+    negative; NaN and inf fail it.
+    """
+    return (weights >= -_PARAM_TOL) & (weights <= 1.0 + _PARAM_TOL)
 
 
 def _checked_weights(params: PauliDiagonalParams) -> np.ndarray:
     """:func:`_pauli_weights` of ``params``; raises if the state is not positive."""
     w = _pauli_weights(params.n_qubits, *params.coefficients())
-    if not _positive(params.n_qubits, w):
+    if not _in_bounds(w).all():
         raise InvalidParamsError(
             "pauli-diagonal coefficients invalid: "
             f"{_report(params.n_qubits, w).failure_message()}"
@@ -184,15 +186,12 @@ def _checked_weights(params: PauliDiagonalParams) -> np.ndarray:
 
 
 def _report(n_qubits: int, weights: np.ndarray) -> ValidationReport:
-    if n_qubits % 2:
-        d = float(weights[0])
-        checks = [ConstraintCheck("d", d <= 1.0 + _PARAM_TOL, d, 0.0, 1.0)]
-    else:
-        checks = [
-            ConstraintCheck(f"lambda{j}", -_PARAM_TOL <= lam <= 1.0 + _PARAM_TOL, lam, 0.0, 1.0)
-            for j, lam in enumerate(weights.tolist(), start=1)
-        ]
-    return ValidationReport(all(c.passed for c in checks), tuple(checks))
+    names = ["d"] if n_qubits % 2 else [f"lambda{j}" for j in range(1, 5)]
+    checks = tuple(
+        ConstraintCheck(name, passed, value, 0.0, 1.0)
+        for name, passed, value in zip(names, _in_bounds(weights).tolist(), weights.tolist())
+    )
+    return ValidationReport(all(c.passed for c in checks), checks)
 
 
 def validate_pauli_params(params: PauliDiagonalParams) -> ValidationReport:

@@ -24,9 +24,9 @@ from .discord import (
     InvalidParamsError,
     PauliDiagonalParams,
     _checked_weights,
+    _in_bounds,
     _pauli_diagonal_bits,
     _pauli_weights,
-    _positive,
     _report,
 )
 from .qcore import DensityMatrix, PAULI_Z, apply_single_qubit_operators
@@ -196,20 +196,12 @@ def _detect_kinks(p_grid: np.ndarray, gqd: np.ndarray, code: np.ndarray):
     a vanishing spectral weight, not kinks, and stay unreported.
     """
     second = np.abs(gqd[:-2] - 2.0 * gqd[1:-1] + gqd[2:])
-    threshold = (
-        max(_KINK_FACTOR * float(np.median(second)), _KINK_FLOOR)
-        if second.size
-        else math.inf
-    )
-
-    def sharpness(i: int) -> float:
-        return float(second[i - 1]) if 1 <= i <= second.size else 0.0
-
+    threshold = max(_KINK_FACTOR * float(np.median(second)), _KINK_FLOOR)
     kinks = []
     for i in (np.flatnonzero(code[1:] != code[:-1]) + 1).tolist():
         window = [j for j in (i - 1, i, i + 1) if 1 <= j <= second.size]
-        spiked = [j for j in window if sharpness(j) > threshold]
-        at = max(spiked, key=sharpness) if spiked else i
+        spiked = [j for j in window if second[j - 1] > threshold]
+        at = max(spiked, key=lambda j: second[j - 1]) if spiked else i
         p = float(p_grid[at])
         if not kinks or p != kinks[-1]:
             kinks.append(p)
@@ -283,7 +275,7 @@ def scan_gqd_vs_p(
     c1_p, c2_p = params.c1 * factor, params.c2 * factor
     c3_p = np.full_like(grid, params.c3)
     weights = _pauli_weights(n, c1_p, c2_p, c3_p)
-    bad = np.flatnonzero(~_positive(n, weights))
+    bad = np.flatnonzero(~_in_bounds(weights).all(axis=-1))
     if bad.size:
         i = bad[0]
         raise InvalidParamsError(

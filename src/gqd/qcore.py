@@ -55,6 +55,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 UNIT_NORM_TOL = 1e-12
+# Slack on each partial-sum comparison of majorizes, for summation rounding.
+_PARTIAL_SUM_TOL = 1e-12
 # Floor on weights inside log2, far below any weight that moves an entropy.
 _TINY = 1e-300
 
@@ -153,7 +155,8 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
+        # hypot, not a sum of squares: a huge component must not overflow.
+        norm = math.hypot(self.x, self.y, self.z)
         # Written as "not <=" so that a NaN component fails too.
         if not abs(norm - 1.0) <= UNIT_NORM_TOL:
             raise ValueError(
@@ -226,19 +229,33 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(tensor.reshape(d, d))
 
 
+def _probabilities(weights, name: str = "probability vector") -> np.ndarray:
+    """``weights`` as a float array, if it passes :func:`shannon_entropy`'s
+    probability-vector rule; else ValueError naming ``name``."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D vector, got shape {w.shape}")
+    # NaN propagates through min() and max() and fails "not >=" and "not <=".
+    low, high = float(w.min()), float(w.max())
+    if not low >= -PSD_TOL:
+        raise ValueError(f"{name} has entry {low!r} below -{PSD_TOL:.1e}")
+    if not high <= 1.0 + PSD_TOL:
+        raise ValueError(f"{name} has entry {high!r} above 1 + {PSD_TOL:.1e}")
+    # Tested after the bounds: a sum of bounded entries cannot overflow.
+    total = float(w.sum())
+    if not abs(total - 1.0) <= PSD_TOL:
+        raise ValueError(f"{name} sums to {total!r}, not 1 within {PSD_TOL:.1e}")
+    return w
+
+
 def shannon_entropy(weights) -> float:
     """Entropy in bits of a probability vector, with ``0 log2 0 = 0``.
 
-    Entries in ``[-1e-9, 0)`` are clipped to zero; anything lower, or NaN,
-    raises.
+    The vector must be 1-D and non-empty, with entries in
+    ``[-1e-9, 1 + 1e-9]`` that sum to 1 within 1e-9; anything else, NaN and
+    inf included, raises ValueError. Entries in ``[-1e-9, 0)`` count as zero.
     """
-    w = np.asarray(weights, dtype=float)
-    # NaN propagates through min() and fails "not >=".
-    if w.size and not float(w.min()) >= -PSD_TOL:
-        raise ValueError(
-            f"probability vector has entry {float(w.min())!r} below -{PSD_TOL:.1e}"
-        )
-    return float(_entropy_bits(w))
+    return float(_entropy_bits(_probabilities(weights)))
 
 
 def _entropy_bits(weights: np.ndarray) -> np.ndarray:
@@ -263,15 +280,10 @@ def _binary_entropy_bits(p):
 def binary_entropy(p: float) -> float:
     """Entropy in bits of the distribution ``(p, 1 - p)``.
 
-    Like :func:`shannon_entropy`, clips entries in ``[-1e-9, 0)`` to zero and
-    raises on anything lower or on NaN.
+    ``(p, 1 - p)`` must pass :func:`shannon_entropy`'s rule, so ``p`` lies in
+    ``[-1e-9, 1 + 1e-9]``; anything else, NaN included, raises ValueError.
     """
-    low = min(p, 1.0 - p)
-    if not low >= -PSD_TOL:
-        raise ValueError(
-            f"probability vector has entry {float(low)!r} below -{PSD_TOL:.1e}"
-        )
-    return float(_binary_entropy_bits(p))
+    return float(_entropy_bits(_probabilities([p, 1.0 - p])))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -348,23 +360,16 @@ def bloch_rotation(u) -> np.ndarray:
 def majorizes(p, q) -> bool:
     """True if ``q`` majorizes ``p``.
 
-    Both arguments are probability vectors; shorter input is zero-padded.
+    Both arguments must pass :func:`shannon_entropy`'s probability-vector
+    rule, or ValueError is raised; shorter input is zero-padded.
     After sorting in descending order, every partial sum of ``q`` must be at
     least the matching partial sum of ``p``.
     """
-    pv = np.asarray(p, dtype=float)
-    qv = np.asarray(q, dtype=float)
-    for name, v in (("p", pv), ("q", qv)):
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError(f"{name} must be a non-empty 1-D vector")
-        if float(v.min()) < -1e-12:
-            raise ValueError(f"{name} has negative entry {float(v.min())!r}")
-        if abs(float(v.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"{name} sums to {float(v.sum())!r}, expected 1")
+    pv, qv = _probabilities(p, "p"), _probabilities(q, "q")
     size = max(pv.size, qv.size)
     pv = np.pad(np.sort(pv)[::-1], (0, size - pv.size))
     qv = np.pad(np.sort(qv)[::-1], (0, size - qv.size))
-    return bool(np.all(np.cumsum(qv) - np.cumsum(pv) >= -1e-12))
+    return bool(np.all(np.cumsum(qv) - np.cumsum(pv) >= -_PARTIAL_SUM_TOL))
 
 
 def diagonal_pinch(a) -> np.ndarray:

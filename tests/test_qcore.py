@@ -1,6 +1,7 @@
 """Tests for states, entropies, and spectral utilities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,13 @@ class TestBlochVector:
         with pytest.raises(ValueError, match="unit"):
             BlochVector(bad, 0.0, 0.0)
 
+    @pytest.mark.parametrize("axis", range(3))
+    def test_rejects_components_whose_square_overflows(self, axis):
+        components = [0.0, 0.0, 0.0]
+        components[axis] = 1e200
+        with pytest.raises(ValueError, match="unit"):
+            BlochVector(*components)
+
     def test_antipode_negates(self):
         v = BlochVector(0.48, -0.6, 0.64)
         assert np.allclose(v.antipode().as_array(), -v.as_array(), atol=1e-15)
@@ -173,6 +181,21 @@ class TestPartialTrace:
             partial_trace(rho, {5})
 
 
+# Entries pass the rule up to 1e-9 outside [0, 1] and the sum up to 1e-9 off
+# 1, which moves an entropy of at most 8 entries by far less than this.
+_ENTROPY_SLACK = 1e-7
+
+
+def _assert_in_range_or_value_error(entropy, arg, high):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            h = entropy(arg)
+        except ValueError:
+            return
+    assert math.isfinite(h) and -_ENTROPY_SLACK <= h <= high + _ENTROPY_SLACK, (arg, h)
+
+
 class TestEntropies:
     def test_shannon_entropy_uniform(self):
         assert math.isclose(shannon_entropy(np.full(8, 1 / 8)), 3.0, abs_tol=1e-12)
@@ -183,6 +206,22 @@ class TestEntropies:
     def test_shannon_entropy_rejects_negative(self):
         with pytest.raises(ValueError):
             shannon_entropy(np.array([1.1, -0.1]))
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([math.inf, 0.0], "inf above"),
+            ([2.0, -1e-10], "2.0 above"),
+            ([1e308, 1e308], "above"),
+            ([0.5, 0.5, 0.5], "sums to 1.5"),
+            ([], "non-empty 1-D"),
+            (np.full((2, 2), 0.25), "non-empty 1-D"),
+        ],
+        ids=["inf", "entry-above-one", "overflowing-sum", "sum-above-one", "empty", "2-d"],
+    )
+    def test_shannon_entropy_rejects_non_probability_vectors(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            shannon_entropy(weights)
 
     def test_binary_entropy_endpoints(self):
         assert binary_entropy(0.0) == 0.0
@@ -206,6 +245,24 @@ class TestEntropies:
             shannon_entropy(np.array([0.5, 0.5, math.nan]))
         with pytest.raises(ValueError, match="nan"):
             binary_entropy(math.nan)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(), max_size=8)
+        | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
+        .filter(lambda v: sum(v) > 0.0)
+        .map(lambda v: [x / math.fsum(v) for x in v])
+    )
+    def test_shannon_entropy_is_in_range_or_raises(self, weights):
+        """NaN, +-inf and magnitudes up to 1e308 end in ValueError, never in
+        a warning or a value out of range."""
+        high = math.log2(len(weights)) if weights else 0.0
+        _assert_in_range_or_value_error(shannon_entropy, weights, high)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats() | st.floats(-1e-8, 1.0 + 1e-8))
+    def test_binary_entropy_is_in_range_or_raises(self, p):
+        _assert_in_range_or_value_error(binary_entropy, p, 1.0)
 
     def test_entropy_bits_reduces_each_row_on_its_own(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -352,6 +409,21 @@ class TestMajorization:
             majorizes(np.array([0.7, 0.4]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             majorizes(np.array([1.1, -0.1]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            ([math.nan, 1.0], [1.0]),
+            ([1.0], [math.nan, 1.0]),
+            ([math.inf, math.nan], [1.0]),
+            ([1e308, 1e308], [1.0]),
+            ([1.0], [math.inf, 0.0]),
+        ],
+        ids=["nan-in-p", "nan-in-q", "inf-and-nan", "overflowing-sum", "inf"],
+    )
+    def test_rejects_nan_inf_and_overflowing_entries(self, p, q):
+        with pytest.raises(ValueError):
+            majorizes(p, q)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6), st.integers(0, 10**6))
