@@ -155,8 +155,10 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        # hypot, not a sum of squares: a huge component must not overflow.
-        norm = math.hypot(self.x, self.y, self.z)
+        try:  # hypot, not a sum of squares: a huge float must not overflow
+            norm = math.hypot(self.x, self.y, self.z)
+        except OverflowError:  # an int component beyond the float range
+            norm = math.inf
         # Written as "not <=" so that a NaN component fails too.
         if not abs(norm - 1.0) <= UNIT_NORM_TOL:
             raise ValueError(
@@ -287,8 +289,8 @@ def binary_entropy(p: float) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy in bits, from the cached eigenvalues of ``rho``."""
-    return shannon_entropy(rho.eigenvalues())
+    """Von Neumann entropy in bits of the spectrum ``rho`` validated on construction."""
+    return float(_entropy_bits(rho.eigenvalues()))
 
 
 # Eigenvalues of sigma below this are treated as zero when testing whether

@@ -281,6 +281,14 @@ class TestNumericOptimizer:
             want = measurement_objective(rho, res.optimal_measurement)
             assert abs(res.diagnostics.raw_value - want) <= 1e-9, n
 
+    def test_state_at_the_psd_tolerance(self):
+        # DensityMatrix accepts this state, whose largest eigenvalue lies
+        # above 1 + 1e-9; the solve must still give a finite value.
+        rho = DensityMatrix(np.diag([1 + 1.5e-9, -5e-10, -5e-10, -5e-10]))
+        res = gqd_numeric(rho, OptimizerOptions(seed=1))
+        assert abs(res.value) <= 1e-8
+        assert math.isfinite(res.diagnostics.raw_value)
+
     def test_matches_werner_closed_form(self):
         for n, mu in [(2, 0.5), (2, 0.9), (3, 0.5)]:
             got = gqd_numeric(werner_ghz_state(WernerGhzParams(n, mu)))

@@ -118,6 +118,10 @@ class TestBlochVector:
         with pytest.raises(ValueError, match="unit"):
             BlochVector(*components)
 
+    def test_rejects_int_components_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="unit"):
+            BlochVector(10**400, 0, 0)
+
     def test_antipode_negates(self):
         v = BlochVector(0.48, -0.6, 0.64)
         assert np.allclose(v.antipode().as_array(), -v.as_array(), atol=1e-15)
@@ -222,6 +226,14 @@ class TestEntropies:
     def test_shannon_entropy_rejects_non_probability_vectors(self, weights, message):
         with pytest.raises(ValueError, match=message):
             shannon_entropy(weights)
+
+    def test_von_neumann_entropy_of_a_state_at_the_psd_tolerance(self):
+        # Trace 1 and smallest eigenvalue -5e-10, so DensityMatrix accepts it,
+        # while its largest eigenvalue lies above 1 + 1e-9.
+        rho = DensityMatrix(np.diag([1 + 1.5e-9, -5e-10, -5e-10, -5e-10]))
+        assert abs(von_neumann_entropy(rho)) <= 1e-8
+        assert abs(mutual_information(rho)) <= 1e-8
+        assert abs(relative_entropy(rho, rho)) <= 1e-8
 
     def test_binary_entropy_endpoints(self):
         assert binary_entropy(0.0) == 0.0
