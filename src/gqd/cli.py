@@ -18,6 +18,7 @@ at most ``MAX_GRID_STEPS`` points.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -426,8 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building one costs about 15 parses with it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except QubitLimitError as exc:

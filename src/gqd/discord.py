@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,10 @@ class PauliDiagonalParams:
         _check_n_qubits(self.n_qubits)
         for name in ("c1", "c2", "c3"):
             v = getattr(self, name)
-            if not math.isfinite(v):
-                raise InvalidParamsError(f"{name} must be finite, got {v!r}")
+            # The bound first: math.isfinite overflows on an int beyond it.
+            if not (abs(v) <= sys.float_info.max and math.isfinite(v)):
+                shown = repr(v) if isinstance(v, float) else "a value beyond the float range"
+                raise InvalidParamsError(f"{name} must be finite, got {shown}")
 
     def coefficients(self) -> tuple[float, float, float]:
         return (self.c1, self.c2, self.c3)

@@ -1,10 +1,18 @@
 """Local projective measurements and the discord objective they induce.
 
-A local measurement assigns one Bloch direction per qubit. Measuring without
-reading the outcome acts as a pinching map: it kills every coherence between
-the rank-1 outcome projectors. Because the projectors are rank 1, the pinched
-state is exactly diagonal in the rotated product basis, which is how
-:func:`pinch_matrix` computes it.
+A local measurement assigns one Bloch direction ``n_j`` per qubit. Measuring
+without reading the outcome acts as a pinching map: it kills every coherence
+between the rank-1 outcome projectors ``(I +- n_j . sigma) / 2``, so the
+pinched state is diagonal in the measured product basis.
+
+One kernel computes that diagonal, the measured distribution, for every
+route. In the Pauli basis it is a real contraction,
+``q_x = sum_mu T_mu prod_j m_j[mu_j, x_j]``: ``T`` holds the state's 4^N
+Pauli coefficients, taken once per state in O(N 4^N), and ``m_j`` is qubit
+j's 4x2 matrix ``[[1, 1], [n_j, -n_j]]``. One contraction costs O(4^N) real
+work per measurement. The optimizer's objective takes its exact gradient
+from a reverse pass through the same contraction, and :func:`pinch_matrix`
+rebuilds the pinched matrix from ``q`` and the projectors.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from .qcore import (
 __all__ = [
     "LocalMeasurement",
     "projectors",
-    "rotation_to_z",
     "pinch_matrix",
     "apply_local_measurement",
     "measurement_objective",
@@ -95,106 +102,90 @@ def projectors(direction: BlochVector) -> tuple[np.ndarray, np.ndarray]:
     return (IDENTITY_2 + n_dot_sigma) / 2.0, (IDENTITY_2 - n_dot_sigma) / 2.0
 
 
-def rotation_to_z(direction: BlochVector) -> np.ndarray:
-    """2x2 unitary ``V`` with ``V (n . sigma) V^dagger = sigma_z``.
+# Column mu is sigma_mu^T flattened and halved, so that a flattened 2x2 block
+# a times it gives tr(sigma_mu a) / 2 for mu = I, x, y, z.
+_PAULI_BASIS = np.stack(
+    [p.T.ravel() for p in (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)], axis=1
+) / 2.0
 
-    For ``z < 0`` the unitary of ``-n`` sends ``n . sigma`` to ``-sigma_z``;
-    swapping its rows gives ``X u (n . sigma) u^dagger X = sigma_z``.
+
+def _pauli_coefficients(mat: np.ndarray) -> np.ndarray:
+    """The 4^N tensor ``T`` with ``mat = sum_mu T_mu sigma_mu_0 x ... x sigma_mu_(N-1)``.
+
+    ``T_mu = tr(mat sigma_mu_0 x ... x sigma_mu_(N-1)) / 2^N``, indexed
+    ``T[mu_0, ..., mu_(N-1)]`` with ``mu = 0, 1, 2, 3`` for ``I, x, y, z``.
+    Each qubit's row leg is paired with its column leg; one 2x2 -> 4
+    butterfly per qubit then transforms the leading pair and appends its
+    Pauli index, so the legs end in qubit order. O(N 4^N). Complex; real up
+    to rounding when ``mat`` is Hermitian.
     """
-    u, scale = _unitaries(direction.as_array())
-    return PAULI_X @ u if scale < 0.0 else u
+    n = int(mat.shape[0]).bit_length() - 1
+    pairs = np.arange(2 * n).reshape(2, n).T.ravel()
+    t = np.asarray(mat, dtype=np.complex128).reshape((2,) * (2 * n)).transpose(pairs)
+    for _ in range(n):
+        t = t.reshape(4, -1).T @ _PAULI_BASIS
+    return t.reshape((4,) * n)
 
 
-def _unitaries(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement unitaries of vectors ``v`` of shape ``(..., 3)``, and their scale.
+def _leg_matrices(unit: np.ndarray) -> np.ndarray:
+    """``[[1, 1], [n, -n]]``, a 4x2 matrix, for each unit direction of ``unit[..., 3]``.
 
-    ``n`` and ``-n`` are one measurement with its outcomes swapped, so each
-    vector is scaled by ``scale = +-1 / |v|`` to the unit axis with
-    ``z >= 0``. Its unitary is ``[[c, e], [-conj(e), c]]`` with
-    ``c = cos(theta / 2)`` and ``e = exp(-i phi) sin(theta / 2)``, built
-    without trigonometry: ``c = sqrt((1 + z) / 2)``, which is at least
-    ``1 / sqrt(2)`` on the upper hemisphere, and ``e = (x - i y) / (2 c)``.
+    Entry ``(mu, x)`` is ``tr(sigma_mu P_x)`` for the outcome projectors
+    ``P_0, P_1 = (I +- n . sigma) / 2``.
     """
-    scale = np.where(v[..., 2] < 0.0, -1.0, 1.0) / np.sqrt((v * v).sum(axis=-1))
-    axes = v * scale[..., None]
-    c = np.sqrt((1.0 + axes[..., 2]) / 2.0)
-    e = (axes[..., 0] - 1j * axes[..., 1]) / (2.0 * c)
-    u = np.empty(c.shape + (2, 2), dtype=np.complex128)
-    u[..., 0, 0] = u[..., 1, 1] = c
-    u[..., 0, 1] = e
-    u[..., 1, 0] = -e.conj()
-    return u, scale
+    legs = np.empty(unit.shape[:-1] + (4, 2))
+    legs[..., 0, :] = 1.0
+    legs[..., 1:, 0] = unit
+    legs[..., 1:, 1] = -unit
+    return legs
 
 
-def _measured_distribution(
-    mat: np.ndarray, unitaries: np.ndarray, coherences: bool = False
-):
-    """Diagonal of ``V mat V^dagger`` for a stack of ``V = u_0 x ... x u_{n-1}``.
+def _measured_distribution(coeffs: np.ndarray, legs: np.ndarray):
+    """Outcome distributions ``q[s, x] = sum_mu T_mu prod_j legs[s, j][mu_j, x_j]``.
 
-    ``unitaries[s, j]`` is qubit j's ``u_j`` in stack entry s; the result has
-    one row per entry. Contracts one qubit at a time: ``u_j`` acts on row leg
-    j, ``conj(u_j)`` on column leg j, and only that leg's diagonal is kept.
-    The outcome axis doubles while both remaining legs halve, so the work is
-    O(4^N) per entry and no 2^N x 2^N unitary is built. Entries are complex;
-    they are the outcome probabilities ``q`` when ``mat`` is a density
-    matrix. Every product is taken per stack entry, so an entry's result
-    does not depend on the others.
+    ``coeffs`` is the tensor of :func:`_pauli_coefficients` and
+    ``legs[s, j]`` qubit j's leg matrix in stack row s; q has one row per
+    stack row, with qubit 0's outcome the most significant. It is the
+    diagonal, in the measured product basis, of the matrix with these
+    coefficients: the outcome probabilities of a density matrix. Contracts
+    one Pauli leg per qubit with one batched matmul, whose product appends
+    the outcome axis, so the next leg leads and stays contiguous: O(4^N)
+    real work per row, and no unitary is built. Every product is taken per
+    stack row, so a row's result does not depend on the others.
 
-    With ``coherences``, returns ``(q, c)``. ``c[s, j, y]`` is the entry of
-    ``V mat V^dagger`` between outcome 0 and outcome 1 of qubit j, with the
-    other qubits' outcomes ``y`` (in qubit order) equal on both sides: the
-    first-order change of ``q`` when qubit j's direction turns. At leg j
-    that entry is split off the rows of the distribution and rides along
-    as extra outcome rows through the remaining legs, which about doubles
-    the work.
+    Also returns each leg's input, ``(rows, 4, r)``, for :func:`_reverse`.
     """
-    n_stack, n = unitaries.shape[:2]
-    # t[stack, outcome rows, remaining row legs, remaining column legs]; the
-    # first `main` outcome rows are the distribution, the rest coherences.
-    t = mat.reshape(1, 1, *mat.shape)
-    main = 1
-    # w[s, x] is row x of conj(u_j) as a 2x1 column, so the second matmul
-    # contracts column leg j of outcome x with conj(u_j)[x] only.
-    conj_rows = unitaries.conj()[:, :, None, :, None, :, None]
-    for j in range(n):
-        w = conj_rows[:, j]
-        b, r = t.shape[1], t.shape[2] // 2
-        k = 2 * r * r
-        if b > r:
-            # Many outcome rows over short legs: move row leg j in front of
-            # the outcome rows, so one matmul per stack entry replaces one
-            # per outcome row.
-            legs = t.reshape(-1, b, 2, k).transpose(0, 2, 1, 3).reshape(-1, 2, b * k)
-            rows = (unitaries[:, j] @ legs).reshape(n_stack, 2, b, k).transpose(0, 2, 1, 3)
-        else:
-            rows = unitaries[:, j, None] @ t.reshape(-1, b, 2, k)
-        rows = rows.reshape(n_stack, b, 2, r, 2, r).transpose(0, 1, 2, 3, 5, 4)
-        extra = main if coherences else 0
-        t = np.empty((n_stack, 2 * b + extra, r, r), dtype=rows.dtype)
-        np.matmul(rows, w, out=t[:, : 2 * b].reshape(n_stack, b, 2, r, r, 1))
-        if coherences:
-            # Row 0 of qubit j against column 1, for the distribution's rows.
-            np.matmul(
-                rows[:, :main, 0],
-                w[:, :, 1],
-                out=t[:, 2 * b :].reshape(n_stack, main, r, r, 1),
-            )
-            main *= 2
-    out = t.reshape(n_stack, -1)
-    if not coherences:
-        return out
-    return out[:, :main], out[:, main:].reshape(n_stack, n, main // 2)
+    t = coeffs.reshape(1, -1)
+    inputs = []
+    for j in range(legs.shape[1]):
+        a = t.reshape(len(t), 4, -1)
+        inputs.append(a)
+        t = a.swapaxes(-1, -2) @ legs[:, j]
+    return t.reshape(len(legs), -1), inputs
 
 
-# Most density-matrix entries one kernel call may hold across its stack, so
-# that memory is bounded by N alone. 2^15 complex entries (512 KiB) keep a
-# call's working set in a 2 MiB L2 cache; larger stacks spill it. Per start,
-# a stack of four cost 1.3x a single start at N = 7, and a stack of three
-# 1.4x at N = 8, while stacks at N <= 6 cost less per start than one.
-_KERNEL_ENTRIES = 2**15
-# Column b is sigma_b^T flattened, so that a.ravel() @ _PAULI_TRACE gives
-# tr(sigma_b a) for b = x, y, z.
-_PAULI_TRACE = np.stack([p.T.ravel() for p in (PAULI_X, PAULI_Y, PAULI_Z)], axis=1)
+def _reverse(inputs, legs: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum_x adjoint[s, x] q[s, x]`` in each ``legs[s, j]``.
+
+    The reverse pass of :func:`_measured_distribution` through the same
+    legs, last qubit first; the result has the shape of ``legs``.
+    """
+    out = np.empty(legs.shape)
+    g = adjoint
+    for j in reversed(range(legs.shape[1])):
+        a = inputs[j]
+        g = g.reshape(len(legs), a.shape[-1], 2)
+        out[:, j] = a @ g
+        if j:
+            g = legs[:, j] @ g.swapaxes(-1, -2)
+    return out
+
+
+# A kernel call takes at most _KERNEL_ENTRIES >> 2N rows, so that memory is
+# bounded by N alone; a row holds about 2 4^N floats, so a call about 1 MiB.
+# Per row of a stack of three on one core, budgets 2^14 ... 2^18 took 160,
+# 140, 88, 118, 146 us at N = 7 and 436, 440, 448, 423, 989 us at N = 8.
+_KERNEL_ENTRIES = 2**16
 
 
 def _entropy_objective(rho_mat: np.ndarray, marginal: bool):
@@ -204,47 +195,41 @@ def _entropy_objective(rho_mat: np.ndarray, marginal: bool):
     ``n_j = v_j / |v_j|``; q is the measured distribution and q_j qubit j's
     measured marginal. With ``marginal=False`` the marginal term is left out.
 
-    Turning n_j along the tangent frame vector ``t_x`` (``t_y``) of its
-    unitary moves ``q_(y,0_j)`` by ``Re c_j(y)`` (``-Im c_j(y)``) and
-    ``q_(y,1_j)`` by the opposite, where c_j are the kernel's coherences. So
-    with ``L_j(y) = log2(q_(y,0_j) / q_(y,1_j))`` and
-    ``s_j = sum_y L_j(y) c_j(y)`` the tangent gradient of H(q) is
-    ``-Re s_j t_x + Im s_j t_y = -Re(s_j (t_x + i t_y))``. The marginal term
-    subtracts ``log2(q_j0 / q_j1)`` from every ``L_j(y)``. The gradient in
-    ``v_j`` is the tangent gradient divided by ``|v_j|``.
+    The state's Pauli coefficients T are taken once. q is linear in each
+    leg matrix, and ``sum_x q_x`` does not depend on the directions, so the
+    gradient of H(q) in the legs is the reverse pass with adjoint
+    ``-log2 q``. The marginal is read off T: ``q_j = (1 +- n_j . r_j) / 2``
+    with Bloch vector ``r_j = 2^N T[0, .., a_j, .., 0]``. The gradient in
+    ``n_j`` is projected onto the tangent plane and divided by ``|v_j|``.
 
-    The stack is cut into calls of at most ``_KERNEL_ENTRIES`` matrix
-    entries, which bounds memory by N alone; every operation is row-wise,
-    so the cut does not change a row's result.
+    The stack is cut into calls of at most ``_KERNEL_ENTRIES >> 2N`` rows,
+    which bounds memory by N alone; every operation is row-wise, so the cut
+    does not change a row's result.
     """
-    n = int(rho_mat.shape[0]).bit_length() - 1
-    # idx[x, j, y]: position in q of the outcome with qubit j at x and the
-    # other qubits at y, in the order of the kernel's c_j(y).
-    cube = np.arange(2**n).reshape((2,) * n)
-    idx = np.array([[np.take(cube, x, j).ravel() for j in range(n)] for x in (0, 1)])
+    coeffs = _pauli_coefficients(rho_mat).real
+    n = coeffs.ndim
+    bloch = 2.0**n * np.array(
+        [coeffs[(0,) * j + (slice(1, None),) + (0,) * (n - j - 1)] for j in range(n)]
+    )
 
     def value_and_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # scale = +-1 / |v_j| takes v_j to the measured axis, the one of
-        # +-n_j with z >= 0; the tangent gradient there is scaled back by it.
-        unitaries, scale = _unitaries(x.reshape(len(x), n, 3))
-        q, c = _measured_distribution(rho_mat, unitaries, coherences=True)
-        q = q.real
+        v = x.reshape(len(x), n, 3)
+        norm = np.sqrt((v * v).sum(axis=-1))[..., None]
+        unit = v / norm
+        legs = _leg_matrices(unit)
+        q, inputs = _measured_distribution(coeffs, legs)
         value = _entropy_bits(q)
-        # np.take keeps each row contiguous, and so each row's sums in one
-        # order whatever the stack; q[:, idx] does not.
-        log_q = np.take(np.log2(np.maximum(q, _TINY)), idx, axis=1)
-        ratio = log_q[:, 0] - log_q[:, 1]
+        d_legs = _reverse(inputs, legs, -np.log2(np.maximum(q, _TINY)))
+        grad = d_legs[..., 1:, 0] - d_legs[..., 1:, 1]
         if marginal:
-            p = np.take(q, idx, axis=1).sum(axis=-1)
-            value -= _entropy_bits(p.reshape(len(x), 2 * n))
+            s = (unit * bloch).sum(axis=-1)
+            # p[:, j] and p[:, n + j] are the two outcomes of qubit j.
+            p = np.concatenate([1.0 + s, 1.0 - s], axis=1) / 2.0
+            value -= _entropy_bits(p)
             log_p = np.log2(np.maximum(p, _TINY))
-            ratio -= (log_p[:, 0] - log_p[:, 1])[..., None]
-        s = (ratio * c).sum(axis=-1)
-        # t_x + i t_y is the Bloch vector of a = u_j^dagger |0><1| u_j, whose
-        # entries are a_kl = conj(u_0k) u_1l.
-        a = unitaries[..., 0, :, None].conj() * unitaries[..., 1, None, :]
-        grad = (s[..., None] * (a.reshape(len(x), n, 4) @ _PAULI_TRACE)).real
-        return value, (grad * -scale[..., None]).reshape(len(x), 3 * n)
+            grad += (log_p[:, :n] - log_p[:, n:])[..., None] * bloch / 2.0
+        grad -= unit * (unit * grad).sum(axis=-1)[..., None]
+        return value, (grad / norm).reshape(len(x), 3 * n)
 
     rows_per_call = max(1, _KERNEL_ENTRIES >> (2 * n))
 
@@ -263,9 +248,9 @@ def _entropy_objective(rho_mat: np.ndarray, marginal: bool):
 def pinch_matrix(mat, directions) -> np.ndarray:
     """Pinching of an arbitrary square matrix along per-qubit directions.
 
-    Takes the diagonal ``q`` of ``mat`` in the rotated product basis, then
+    Takes the diagonal ``q`` of ``mat`` in the measured product basis, then
     rebuilds ``sum_x q_x P_0(x_0) x ... x P_{n-1}(x_{n-1})`` one qubit at a
-    time from the rank-1 projectors ``P_j(x) = u_j^dagger |x><x| u_j``.
+    time from the rank-1 projectors ``P_j(0), P_j(1) = (I +- n_j . sigma) / 2``.
     Linear in ``mat``; does not require or preserve density-matrix
     normalization.
     """
@@ -276,11 +261,13 @@ def pinch_matrix(mat, directions) -> np.ndarray:
         raise ValueError(
             f"matrix shape {a.shape} does not match {n} measurement directions"
         )
-    unitaries, _ = _unitaries(np.array([d.as_array() for d in directions]))
-    t = _measured_distribution(a, unitaries[None])[0].reshape(d, 1, 1)
-    for u in unitaries[::-1]:
+    unit = np.array([dd.as_array() for dd in directions])
+    unit /= np.sqrt((unit * unit).sum(axis=1))[:, None]
+    q, _ = _measured_distribution(_pauli_coefficients(a), _leg_matrices(unit)[None])
+    t = q.reshape(d, 1, 1)
+    for nvec in unit[::-1]:
         b, r = t.shape[0] // 2, t.shape[1]
-        proj = u.conj()[:, :, None] * u[:, None, :]
+        proj = np.stack(projectors(BlochVector(*nvec)))
         t = np.einsum("bxrs,xac->barcs", t.reshape(b, 2, r, r), proj)
         t = t.reshape(b, 2 * r, 2 * r)
     return t.reshape(d, d)

@@ -652,6 +652,59 @@ class TestVerify:
         assert "werner-ghz-closed-form" in out
 
 
+class TestParserCache:
+    """``main`` parses with one parser per process; ``build_parser`` still
+    builds a new one."""
+
+    @staticmethod
+    def run_sequence(capsys, tmp_path) -> list:
+        tmp_path.mkdir()
+        rng = np.random.default_rng(5)
+        dense = write_doc(tmp_path / "dense.json", {
+            "kind": "dense", "n_qubits": 2,
+            "matrix": [[[v.real, v.imag] for v in row]
+                       for row in random_density_matrix(2, rng).matrix.tolist()],
+        })
+        family = write_doc(tmp_path / "w.json", {"kind": "werner_ghz", "n_qubits": 3, "mu": 0.4})
+        csv = tmp_path / "out.csv"
+        argvs = [
+            ["compute", "--input", dense, "--starts", "2", "--seed", "3"],
+            ["compute", "--input", family, "--starts", "2"],  # exit 2: numeric flag
+            ["compute"],  # argparse: --input missing
+            ["dephase-scan", "--n", "3", "--c1", "0.5", "--c2", "-0.3", "--c3", "0.2",
+             "--p-steps", "11", "--out", str(csv)],
+            ["figure1", "--bogus", "--out", str(csv)],  # argparse: unknown flag
+            ["figure1", "--n-list", "2,inf", "--mu-steps", "5", "--out", str(csv)],
+            ["compute", "--input", family, "--method", "closed"],
+            ["verify", "--scope", "lemmas", "--trials", "2", "--seed", "4"],
+        ]
+        runs = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr().out
+            if argv[0] == "compute" and code == EXIT_OK:
+                out = json.loads(out)
+                out.pop("wall_time_s")
+            runs.append((code, out, csv.read_text(encoding="utf-8") if csv.exists() else None))
+        return runs
+
+    def test_successive_calls_match_a_fresh_parser_per_call(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from gqd import cli
+
+        cached = self.run_sequence(capsys, tmp_path / "cached")
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.run_sequence(capsys, tmp_path / "fresh")
+        assert [run[0] for run in cached] == [0, 2, 2, 0, 2, 0, 0, 0]
+        assert cached == fresh
+
+
 class TestEntryPoint:
     def test_installed_script_runs(self, tmp_path):
         # Build the wrapper an installer would generate from the declared

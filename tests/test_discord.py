@@ -254,6 +254,19 @@ class TestPauliDiagonalFamily:
         with pytest.raises(InvalidParamsError):
             PauliDiagonalParams(2, math.nan, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "big", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
+    )
+    def test_int_beyond_float_range_is_invalid_params(self, big):
+        # math.isfinite alone overflows on such an int, and the repr of
+        # 10**5000 does not print at all.
+        for k in range(3):
+            coeffs = [0.0, 0.0, 0.0]
+            coeffs[k] = big
+            with pytest.raises(InvalidParamsError, match="beyond the float range"):
+                PauliDiagonalParams(2, *coeffs)
+        assert PauliDiagonalParams(2, np.int64(0), np.float64(0.5), 0).c2 == 0.5
+
 
 class TestCrossFamilyAgreement:
     def test_two_qubit_ghz_mixture_is_pauli_diagonal(self):

@@ -135,30 +135,33 @@ class TestScipyDcstep:
 
 
 # Per-start results of default solves (seed 9, on a Ginibre state drawn with
-# seed 9), pinned at commit 52e938c, before the line search ran per row:
-# (nfev, nit, fun as float.hex). Every start converged.
+# seed 9): (nfev, nit, fun as float.hex). Every start converged. nfev and nit
+# are pinned at commit 52e938c, before the line search ran per row. fun was
+# re-pinned when the measured distribution moved to the Pauli-basis kernel,
+# whose rounding moved each value by at most 1.4e-15 and left nfev and nit
+# unchanged.
 PINNED_SOLVES = {
     2: (
         [16, 12, 20, 14, 14, 14, 20, 15, 13, 13, 22, 12, 18, 10, 18, 15],
         [13, 11, 15, 11, 13, 12, 16, 12, 10, 11, 16, 10, 15, 9, 17, 12],
-        ["-0x1.32e26c19d5690p-1", "-0x1.32e26c19d52f8p-1", "-0x1.32e26c19d525cp-1",
-         "-0x1.32e26c19d569ap-1", "-0x1.32e26c19d56e0p-1", "-0x1.32e26c19d54d2p-1",
-         "-0x1.32e26c19d2926p-1", "-0x1.32e26c19d542ep-1", "-0x1.32e26c19d5622p-1",
-         "-0x1.32e26c19d5688p-1", "-0x1.32e26c19d5486p-1", "-0x1.32e26c19d5662p-1",
-         "-0x1.32e26c19d5600p-1", "-0x1.32e26c19d56c8p-1", "-0x1.32e26c19d5538p-1",
-         "-0x1.32e26c19d4dd6p-1"],
+        ["-0x1.32e26c19d5690p-1", "-0x1.32e26c19d52fcp-1", "-0x1.32e26c19d525cp-1",
+         "-0x1.32e26c19d569cp-1", "-0x1.32e26c19d56e4p-1", "-0x1.32e26c19d54d2p-1",
+         "-0x1.32e26c19d2926p-1", "-0x1.32e26c19d542ep-1", "-0x1.32e26c19d5620p-1",
+         "-0x1.32e26c19d568cp-1", "-0x1.32e26c19d5488p-1", "-0x1.32e26c19d5660p-1",
+         "-0x1.32e26c19d5604p-1", "-0x1.32e26c19d56cep-1", "-0x1.32e26c19d553ap-1",
+         "-0x1.32e26c19d4ddcp-1"],
     ),
     3: (
         [34, 22, 21, 16, 29, 28, 19, 16, 21, 33, 20, 25, 15, 11, 25, 27, 19, 16, 13, 20, 19, 20, 19, 18],
         [23, 20, 19, 14, 24, 24, 17, 13, 19, 27, 19, 22, 14, 10, 21, 22, 16, 13, 12, 18, 17, 16, 18, 17],
-        ["-0x1.21f8df9498e18p-2", "-0x1.21f8df949d060p-2", "-0x1.21f8df9496ac0p-2",
-         "-0x1.21f8df949db98p-2", "-0x1.c161f37024d50p-3", "-0x1.c161f37024ac0p-3",
-         "-0x1.c161f37024b70p-3", "-0x1.21f8df949b420p-2", "-0x1.c161f37024e60p-3",
-         "-0x1.21f8df949cd38p-2", "-0x1.21f8df949cb98p-2", "-0x1.c161f37024c10p-3",
-         "-0x1.c161f36ffd900p-3", "-0x1.21f8df93f35c8p-2", "-0x1.21f8df949d4a0p-2",
-         "-0x1.21f8df949d6b8p-2", "-0x1.21f8df949b920p-2", "-0x1.21f8df949daa8p-2",
-         "-0x1.c161f37024bf0p-3", "-0x1.21f8df948e5c0p-2", "-0x1.c161f36ecc560p-3",
-         "-0x1.21f8df949d668p-2", "-0x1.21f8df9422048p-2", "-0x1.21f8df949bbb0p-2"],
+        ["-0x1.21f8df9498e18p-2", "-0x1.21f8df949d048p-2", "-0x1.21f8df9496ac0p-2",
+         "-0x1.21f8df949dba0p-2", "-0x1.c161f37024d50p-3", "-0x1.c161f37024ab0p-3",
+         "-0x1.c161f37024b90p-3", "-0x1.21f8df949b418p-2", "-0x1.c161f37024e70p-3",
+         "-0x1.21f8df949cd40p-2", "-0x1.21f8df949cba0p-2", "-0x1.c161f37024c00p-3",
+         "-0x1.c161f36ffd8f0p-3", "-0x1.21f8df93f35c0p-2", "-0x1.21f8df949d4b0p-2",
+         "-0x1.21f8df949d6a8p-2", "-0x1.21f8df949b920p-2", "-0x1.21f8df949daa8p-2",
+         "-0x1.c161f37024bf0p-3", "-0x1.21f8df948e5b8p-2", "-0x1.c161f36ecc560p-3",
+         "-0x1.21f8df949d658p-2", "-0x1.21f8df9422040p-2", "-0x1.21f8df949bba0p-2"],
     ),
 }
 

@@ -12,16 +12,19 @@ import pytest
 from gqd.discord import WernerGhzParams, werner_ghz_state
 from gqd.measurement import (
     LocalMeasurement,
+    _leg_matrices,
     _measured_distribution,
+    _pauli_coefficients,
+    _reverse,
     apply_local_measurement,
     canonical_direction,
     measurement_objective,
     pinch_matrix,
     projectors,
     relative_entropy_objective,
-    rotation_to_z,
 )
 from gqd.qcore import (
+    IDENTITY_2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -92,64 +95,130 @@ def direction_cases(n: int, rng: np.random.Generator) -> dict:
     }
 
 
-def unitary_cases(n: int, rng: np.random.Generator) -> dict:
-    """Per-qubit unitaries: the direction cases through ``rotation_to_z``,
-    and two stacks of Haar-random unitaries."""
+def measured_basis(d: BlochVector) -> np.ndarray:
+    """``V`` whose rows are the eigenvectors of ``n . sigma`` for +1, then -1."""
+    _, vecs = np.linalg.eigh(n_dot_sigma(d))
+    return vecs[:, ::-1].conj().T
+
+
+def bloch_of_basis(u: np.ndarray) -> BlochVector:
+    """The direction measured in the basis of ``u``'s rows: ``u^dagger sigma_z u``."""
+    a = u.conj().T @ PAULI_Z @ u
+    return BlochVector(*(float(np.trace(a @ p).real) / 2 for p in (PAULI_X, PAULI_Y, PAULI_Z)))
+
+
+def basis_cases(n: int, rng: np.random.Generator) -> dict:
+    """Per-qubit directions with their measured bases ``V``: the direction
+    cases, with V from the eigenvectors of ``n . sigma``, and two sets of
+    Haar-random bases, with the directions they measure."""
     cases = {
-        name: np.stack([rotation_to_z(d) for d in directions])
+        name: (directions, [measured_basis(d) for d in directions])
         for name, directions in direction_cases(n, rng).items()
     }
     for k in range(2):
-        cases[f"haar{k}"] = np.stack([random_unitary(2, rng) for _ in range(n)])
+        bases = [random_unitary(2, rng) for _ in range(n)]
+        cases[f"haar{k}"] = (tuple(bloch_of_basis(u) for u in bases), bases)
     return cases
 
 
+def unit_array(directions) -> np.ndarray:
+    return np.array([d.as_array() for d in directions])
+
+
+PAULI_BASIS = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
+
+
+class TestPauliCoefficients:
+    """``T_mu = tr(mat sigma_mu) / 2^N`` by one butterfly per qubit."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_round_trip_rebuilds_the_matrix(self, n):
+        rng = np.random.default_rng(RNG_SEED + 400 + n)
+        d = 2**n
+        mats = {
+            "state": random_density_matrix(n, rng).matrix,
+            "non_hermitian": rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)),
+        }
+        for kind, mat in mats.items():
+            t = _pauli_coefficients(mat)
+            assert t.shape == (4,) * n
+            rebuilt = np.zeros((d, d), dtype=complex)
+            for mu in itertools.product(range(4), repeat=n):
+                rebuilt += t[mu] * kron_all([PAULI_BASIS[k] for k in mu])
+            assert np.max(np.abs(rebuilt - mat)) <= 1e-12 * np.max(np.abs(mat)), kind
+            if kind == "state":
+                assert np.max(np.abs(t.imag)) <= 1e-15
+                assert t[(0,) * n].real == pytest.approx(1.0 / d, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_marginal_bloch_vectors_match_partial_trace(self, n):
+        rng = np.random.default_rng(RNG_SEED + 500 + n)
+        rho = random_density_matrix(n, rng)
+        t = _pauli_coefficients(rho.matrix).real
+        for j in range(n):
+            got = 2**n * t[(0,) * j + (slice(1, None),) + (0,) * (n - j - 1)]
+            reduced = partial_trace(rho, {j}).matrix
+            want = [np.trace(reduced @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+            assert np.max(np.abs(got - want)) <= 1e-12, j
+
+
 class TestMeasuredDistributionKernel:
-    """The one-qubit-at-a-time contraction against an explicit Kronecker V."""
+    """The real Pauli-leg contraction against an explicit Kronecker V."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_kronecker_reference(self, n):
         rng = np.random.default_rng(RNG_SEED + n)
         rho = random_density_matrix(n, rng).matrix
-        for name, unitaries in unitary_cases(n, rng).items():
-            v = kron_all(list(unitaries))
-            want = np.diag(v @ rho @ v.conj().T)
-            got = _measured_distribution(rho, unitaries[None])
+        coeffs = _pauli_coefficients(rho).real
+        for name, (directions, bases) in basis_cases(n, rng).items():
+            for d, v in zip(directions, bases):
+                assert np.allclose(v @ n_dot_sigma(d) @ v.conj().T, PAULI_Z, atol=1e-12)
+            v = kron_all(bases)
+            want = np.diag(v @ rho @ v.conj().T).real
+            got, _ = _measured_distribution(coeffs, _leg_matrices(unit_array(directions))[None])
             assert got.shape == (1, 2**n)
             assert np.max(np.abs(got[0] - want)) <= 1e-12, name
 
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_coherences_match_kronecker_reference(self, n):
-        # c[j, y] is the (0_j, 1_j) entry of V rho V^dagger with every other
-        # outcome equal to y, read in qubit order.
-        rng = np.random.default_rng(RNG_SEED + 200 + n)
-        rho = random_density_matrix(n, rng).matrix
-        for name, unitaries in unitary_cases(n, rng).items():
-            v = kron_all(list(unitaries))
-            sigma = (v @ rho @ v.conj().T).reshape((2,) * (2 * n))
-            q, c = _measured_distribution(rho, unitaries[None], coherences=True)
-            assert c.shape == (1, n, 2 ** (n - 1))
-            assert np.max(np.abs(q[0] - np.diag(v @ rho @ v.conj().T))) <= 1e-12, name
-            for j in range(n):
-                want = np.array([
-                    sigma[y[:j] + (0,) + y[j:] + y[:j] + (1,) + y[j:]]
-                    for y in itertools.product((0, 1), repeat=n - 1)
-                ])
-                assert np.max(np.abs(c[0, j] - want)) <= 1e-12, (name, j)
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_reverse_pass_is_the_derivative_in_each_leg(self, n):
+        # q is linear in each leg matrix, so the derivative in entry (mu, x)
+        # of leg j is the contraction with that leg replaced by the unit
+        # matrix E_(mu, x).
+        rng = np.random.default_rng(RNG_SEED + 600 + n)
+        coeffs = _pauli_coefficients(random_density_matrix(n, rng).matrix).real
+        directions, _ = basis_cases(n, rng)["random"]
+        legs = _leg_matrices(unit_array(directions))[None]
+        q, inputs = _measured_distribution(coeffs, legs)
+        adjoint = rng.normal(size=q.shape)
+        got = _reverse(inputs, legs, adjoint)
+        assert got.shape == legs.shape
+        for j, mu, x in itertools.product(range(n), range(4), range(2)):
+            unit = legs.copy()
+            unit[0, j] = 0.0
+            unit[0, j, mu, x] = 1.0
+            want = (adjoint * _measured_distribution(coeffs, unit)[0]).sum()
+            assert abs(got[0, j, mu, x] - want) <= 1e-12, (j, mu, x)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
-    def test_stack_entries_match_single_calls_bit_for_bit(self, n):
-        # Each stack entry is contracted on its own, so an entry's result
-        # does not depend on the entries stacked with it.
+    def test_stack_rows_match_single_calls_bit_for_bit(self, n):
+        # Each stack row is contracted on its own, so a row's distribution
+        # and reverse pass do not depend on the rows stacked with it.
         rng = np.random.default_rng(RNG_SEED + 300 + n)
-        rho = random_density_matrix(n, rng).matrix
-        unitaries = np.stack(list(unitary_cases(n, rng).values()))
-        q, c = _measured_distribution(rho, unitaries, coherences=True)
-        assert q.shape == (len(unitaries), 2**n)
-        for k, u in enumerate(unitaries):
-            q1, c1 = _measured_distribution(rho, u[None], coherences=True)
-            assert np.array_equal(q1[0], q[k]) and np.array_equal(c1[0], c[k]), k
-            assert np.array_equal(_measured_distribution(rho, u[None])[0], q[k]), k
+        coeffs = _pauli_coefficients(random_density_matrix(n, rng).matrix).real
+        legs = np.stack([
+            _leg_matrices(unit_array(directions))
+            for directions, _ in basis_cases(n, rng).values()
+        ])
+        q, inputs = _measured_distribution(coeffs, legs)
+        adjoint = -np.log2(np.maximum(q, 1e-300))
+        grads = _reverse(inputs, legs, adjoint)
+        assert q.shape == (len(legs), 2**n)
+        for k in range(len(legs)):
+            for part in (slice(k, k + 1), slice(k, k + 3)):
+                q1, inputs1 = _measured_distribution(coeffs, legs[part])
+                assert np.array_equal(q1[0], q[k]), (k, part)
+                g1 = _reverse(inputs1, legs[part], adjoint[part])
+                assert np.array_equal(g1[0], grads[k]), (k, part)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_pinch_matrix_matches_kronecker_reference(self, n):
@@ -159,8 +228,8 @@ class TestMeasuredDistributionKernel:
             "ginibre_state": random_density_matrix(n, rng).matrix,
             "non_hermitian": (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d,
         }
-        for name, directions in direction_cases(n, rng).items():
-            v = kron_all([rotation_to_z(dd) for dd in directions])
+        for name, (directions, bases) in basis_cases(n, rng).items():
+            v = kron_all(bases)
             for kind, mat in mats.items():
                 rotated = v @ mat @ v.conj().T
                 want = v.conj().T @ np.diag(np.diag(rotated)) @ v
@@ -184,24 +253,19 @@ class TestProjectors:
         assert np.allclose(p1, np.diag([0.0, 1.0]), atol=0)
 
 
-class TestRotationToZ:
-    def test_aligns_direction_with_z(self):
-        # Random directions and their antipodes cover both hemispheres; the
-        # cases add both poles and the equator with x < 0 and y < 0.
+class TestLegMatrices:
+    def test_entries_are_pauli_traces_of_the_projectors(self):
+        # Entry (mu, x) is tr(sigma_mu P_x), for random directions and their
+        # antipodes, both poles and the equator with x < 0 and y < 0.
         rng = np.random.default_rng(RNG_SEED)
         directions = [random_bloch_vector(rng) for _ in range(30)]
         directions += [d.antipode() for d in directions]
         for case in direction_cases(4, rng).values():
             directions += case
-        assert any(d.z < 0 for d in directions)
-        for d in directions:
-            v = rotation_to_z(d)
-            assert np.allclose(v @ v.conj().T, np.eye(2), atol=1e-12)
-            assert np.allclose(v @ n_dot_sigma(d) @ v.conj().T, PAULI_Z, atol=1e-12)
-
-    def test_z_direction_gives_identity(self):
-        v = rotation_to_z(BlochVector(0.0, 0.0, 1.0))
-        assert np.allclose(v, np.eye(2), atol=1e-15)
+        legs = _leg_matrices(unit_array(directions))
+        for d, leg in zip(directions, legs):
+            want = [[np.trace(s @ p).real for p in projectors(d)] for s in PAULI_BASIS]
+            assert np.max(np.abs(leg - want)) <= 1e-15
 
 
 class TestLocalMeasurement:
