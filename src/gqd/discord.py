@@ -23,16 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lbfgs import StackedResult, minimize_stacked
-from .measurement import LocalMeasurement, _entropy_objective
+from .measurement import LocalMeasurement, _bloch_vectors, _entropy_objective, _pauli_coefficients
 from .qcore import (
     BlochVector,
     DensityMatrix,
     _binary_entropy_bits,
     _entropy_bits,
     mutual_information,
-    partial_trace,
     pauli_string,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -489,11 +487,10 @@ def _check_numeric_size(rho: DensityMatrix, opts: OptimizerOptions) -> None:
 
 
 def _solve(
-    rho: DensityMatrix, opts: OptimizerOptions, method: str, marginal: bool
+    rho: DensityMatrix, coeffs: np.ndarray, opts: OptimizerOptions, method: str
 ) -> GqdResult:
-    """The numeric routes' shared tail: zero at once for ``I / d``, else the
-    best start's ``H(q) - sum_j H(q_j) + I(rho)``, or ``H(q) - S(rho)``
-    without ``marginal``."""
+    """The numeric routes' shared tail: zero at once for ``I / d``, else ``I(rho)`` plus
+    the best start's ``H(q) - sum_j H(q_j)``, from the state's real Pauli tensor."""
     n = rho.n_qubits
     if _is_maximally_mixed(rho):
         diag = OptimizerDiagnostics(
@@ -507,9 +504,8 @@ def _solve(
             converged=True,
         )
         return GqdResult(0.0, method, LocalMeasurement.along_axis("z", n), diag)
-    offset = mutual_information(rho) if marginal else -von_neumann_entropy(rho)
-    fun = _entropy_objective(rho.matrix, marginal)
-    res, best, diag = _run_starts(fun, _start_points(n, opts), opts, offset)
+    fun = _entropy_objective(coeffs)
+    res, best, diag = _run_starts(fun, _start_points(n, opts), opts, mutual_information(rho))
     measurement = _measurement_from(res.x[best])
     return GqdResult(max(diag.raw_value, 0.0), method, measurement, diag)
 
@@ -525,25 +521,24 @@ def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> Gqd
     """
     opts = opts or OptimizerOptions()
     _check_numeric_size(rho, opts)
-    return _solve(rho, opts, "numeric", marginal=True)
+    return _solve(rho, _pauli_coefficients(rho.matrix).real, opts, "numeric")
 
 
-def gqd_maximally_mixed(
-    rho: DensityMatrix, opts: OptimizerOptions | None = None
-) -> GqdResult:
-    """Discord shortcut for states whose one-qubit marginals are all ``I/2``.
-
-    For such states the objective reduces to the measured-state entropy, so
-    ``D = min_Phi S(Phi(rho)) - S(rho)``. Raises if any marginal deviates
-    from ``I/2`` by more than 1e-8, naming the offending qubit.
-    """
+def gqd_maximally_mixed(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> GqdResult:
+    """:func:`gqd_numeric` for states whose one-qubit marginals are all ``I/2``,
+    where ``D = min_Phi S(Phi(rho)) - S(rho)``. Raises ValueError if a
+    marginal deviates from ``I/2`` by more than 1e-8, naming the first such
+    qubit."""
     opts = opts or OptimizerOptions()
     _check_numeric_size(rho, opts)
+    coeffs = _pauli_coefficients(rho.matrix).real
+    r = _bloch_vectors(coeffs)
+    # The largest entry of rho_j - I/2 = r_j . sigma / 2.
+    dev = np.maximum(np.abs(r[:, 2]), np.hypot(r[:, 0], r[:, 1])) / 2.0
     for j in range(rho.n_qubits):
-        dev = np.max(np.abs(partial_trace(rho, {j}).matrix - np.eye(2) / 2.0))
-        if dev > 1e-8:
+        if dev[j] > 1e-8:
             raise ValueError(
-                f"qubit {j} marginal deviates from I/2 by {dev:.3e}, "
+                f"qubit {j} marginal deviates from I/2 by {dev[j]:.3e}, "
                 "shortcut requires maximally mixed marginals"
             )
-    return _solve(rho, opts, "maximally_mixed", marginal=False)
+    return _solve(rho, coeffs, opts, "maximally_mixed")

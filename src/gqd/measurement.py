@@ -188,29 +188,32 @@ def _reverse(inputs, legs: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
 _KERNEL_ENTRIES = 2**16
 
 
-def _entropy_objective(rho_mat: np.ndarray, marginal: bool):
+def _bloch_vectors(coeffs: np.ndarray) -> np.ndarray:
+    """Row j is qubit j's marginal Bloch vector ``r_j = 2^N T[0, .., a_j, .., 0]``."""
+    n = coeffs.ndim
+    at = [(0,) * j + (slice(1, None),) + (0,) * (n - j - 1) for j in range(n)]
+    return 2.0**n * np.array([coeffs[index] for index in at])
+
+
+def _entropy_objective(coeffs: np.ndarray):
     """Values and gradients of ``H(q) - sum_j H(q_j)`` over a stack of points.
 
-    Each row ``x = [v_0, v_1, ...]`` measures qubit j along
-    ``n_j = v_j / |v_j|``; q is the measured distribution and q_j qubit j's
-    measured marginal. With ``marginal=False`` the marginal term is left out.
+    ``coeffs`` is the state's real Pauli tensor T, taken once per state. Each
+    row ``x = [v_0, v_1, ...]`` measures qubit j along ``n_j = v_j / |v_j|``;
+    q is the measured distribution and q_j qubit j's measured marginal.
 
-    The state's Pauli coefficients T are taken once. q is linear in each
-    leg matrix, and ``sum_x q_x`` does not depend on the directions, so the
-    gradient of H(q) in the legs is the reverse pass with adjoint
-    ``-log2 q``. The marginal is read off T: ``q_j = (1 +- n_j . r_j) / 2``
-    with Bloch vector ``r_j = 2^N T[0, .., a_j, .., 0]``. The gradient in
-    ``n_j`` is projected onto the tangent plane and divided by ``|v_j|``.
+    q is linear in each leg matrix, and ``sum_x q_x`` does not depend on the
+    directions, so the gradient of H(q) in the legs is the reverse pass with
+    adjoint ``-log2 q``. The marginal is read off T: ``q_j = (1 +- n_j . r_j) / 2``
+    with ``r_j`` from :func:`_bloch_vectors`. The gradient in ``n_j`` is
+    projected onto the tangent plane and divided by ``|v_j|``.
 
     The stack is cut into calls of at most ``_KERNEL_ENTRIES >> 2N`` rows,
     which bounds memory by N alone; every operation is row-wise, so the cut
     does not change a row's result.
     """
-    coeffs = _pauli_coefficients(rho_mat).real
     n = coeffs.ndim
-    bloch = 2.0**n * np.array(
-        [coeffs[(0,) * j + (slice(1, None),) + (0,) * (n - j - 1)] for j in range(n)]
-    )
+    bloch = _bloch_vectors(coeffs)
 
     def value_and_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = x.reshape(len(x), n, 3)
@@ -221,13 +224,12 @@ def _entropy_objective(rho_mat: np.ndarray, marginal: bool):
         value = _entropy_bits(q)
         d_legs = _reverse(inputs, legs, -np.log2(np.maximum(q, _TINY)))
         grad = d_legs[..., 1:, 0] - d_legs[..., 1:, 1]
-        if marginal:
-            s = (unit * bloch).sum(axis=-1)
-            # p[:, j] and p[:, n + j] are the two outcomes of qubit j.
-            p = np.concatenate([1.0 + s, 1.0 - s], axis=1) / 2.0
-            value -= _entropy_bits(p)
-            log_p = np.log2(np.maximum(p, _TINY))
-            grad += (log_p[:, :n] - log_p[:, n:])[..., None] * bloch / 2.0
+        s = (unit * bloch).sum(axis=-1)
+        # p[:, j] and p[:, n + j] are the two outcomes of qubit j.
+        p = np.concatenate([1.0 + s, 1.0 - s], axis=1) / 2.0
+        value -= _entropy_bits(p)
+        log_p = np.log2(np.maximum(p, _TINY))
+        grad += (log_p[:, :n] - log_p[:, n:])[..., None] * bloch / 2.0
         grad -= unit * (unit * grad).sum(axis=-1)[..., None]
         return value, (grad / norm).reshape(len(x), 3 * n)
 
@@ -301,7 +303,7 @@ def measurement_objective(rho: DensityMatrix, m: LocalMeasurement) -> float:
     """
     _check_covers(rho, m)
     x = np.array([d.as_array() for d in m.directions]).reshape(1, -1)
-    value, _ = _entropy_objective(rho.matrix, marginal=True)(x)
+    value, _ = _entropy_objective(_pauli_coefficients(rho.matrix).real)(x)
     return mutual_information(rho) + float(value[0])
 
 

@@ -650,6 +650,7 @@ class TestVerify:
         assert "FAIL" not in out
         assert "objective-two-routes" in out
         assert "werner-ghz-closed-form" in out
+        assert "mixed-marginal-shortcut" in out
 
 
 class TestParserCache:

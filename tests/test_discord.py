@@ -1,13 +1,16 @@
 """Tests for the closed-form and numeric discord computations."""
 
+import dataclasses
+import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from gqd import measurement
-from gqd.checks import random_valid_pauli_params
+from gqd import checks, measurement
+from gqd.checks import check_mixed_marginal_shortcut, random_valid_pauli_params
 from gqd.discord import (
     GqdResult,
     InvalidParamsError,
@@ -31,14 +34,20 @@ from gqd.discord import (
 from gqd.measurement import (
     LocalMeasurement,
     _entropy_objective,
+    _pauli_coefficients,
     measurement_objective,
     relative_entropy_objective,
 )
 from gqd.qcore import (
+    IDENTITY_2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     BlochVector,
     DensityMatrix,
     maximally_mixed,
     mutual_information,
+    partial_trace,
     pauli_string,
     random_density_matrix,
     random_unitary,
@@ -390,6 +399,11 @@ class TestNumericOptimizer:
             assert abs(z_obj - gqd_werner_ghz(WernerGhzParams(n, mu))) <= 1e-9
 
 
+def objective(rho: DensityMatrix):
+    """The optimizer's stacked objective for ``rho``."""
+    return _entropy_objective(_pauli_coefficients(rho.matrix).real)
+
+
 def single(fun):
     """A stacked ``fun(X) -> (f, G)`` as a function of one point."""
 
@@ -417,16 +431,15 @@ class TestObjectiveGradient:
         # unnormalized random point with both signs of z.
         points = _start_points(n, OptimizerOptions(starts=3))
         points += [-points[0], rng.normal(size=3 * n)]
-        for marginal in (True, False):
-            fun = single(_entropy_objective(rho.matrix, marginal))
-            for x in points:
-                _, grad = fun(x)
-                assert np.max(np.abs(grad - central_difference(fun, x))) <= 1e-6
+        fun = single(objective(rho))
+        for x in points:
+            _, grad = fun(x)
+            assert np.max(np.abs(grad - central_difference(fun, x))) <= 1e-6
 
     def test_value_is_the_objective_less_mutual_information(self):
         rng = np.random.default_rng(RNG_SEED)
         rho = random_density_matrix(3, rng)
-        fun = single(_entropy_objective(rho.matrix, marginal=True))
+        fun = single(objective(rho))
         x = rng.normal(size=9)
         v = x.reshape(3, 3) / np.linalg.norm(x.reshape(3, 3), axis=1)[:, None]
         m = LocalMeasurement(tuple(BlochVector(*map(float, row)) for row in v))
@@ -439,13 +452,12 @@ class TestObjectiveGradient:
         rng = np.random.default_rng(RNG_SEED)
         points = _start_points(n, OptimizerOptions(starts=3))
         points.append(rng.normal(size=3 * n))
-        for marginal in (True, False):
-            fun = single(_entropy_objective(rho.matrix, marginal))
-            for x in points:
-                value, grad = fun(x)
-                assert math.isfinite(value)
-                assert np.all(np.isfinite(grad))
-                assert np.max(np.abs(grad - central_difference(fun, x))) <= 1e-6
+        fun = single(objective(rho))
+        for x in points:
+            value, grad = fun(x)
+            assert math.isfinite(value)
+            assert np.all(np.isfinite(grad))
+            assert np.max(np.abs(grad - central_difference(fun, x))) <= 1e-6
 
 
 class TestResultCertificate:
@@ -571,7 +583,7 @@ class TestStackedStarts:
         # stacked, one at a time, or split over a four-thread pool.
         rng = np.random.default_rng(RNG_SEED + 40 + n)
         rho = random_density_matrix(n, rng)
-        fun = _entropy_objective(rho.matrix, marginal=True)
+        fun = objective(rho)
         opts = OptimizerOptions(seed=11, threads=1)
         points = _start_points(n, opts)
         stacked, _, _ = _run_starts(fun, points, opts, offset=0.0)
@@ -590,13 +602,12 @@ class TestStackedStarts:
         rho = random_density_matrix(n, rng)
         x = np.concatenate([np.array(_start_points(n, OptimizerOptions(starts=5))),
                             rng.normal(size=(4, 3 * n))])
-        for marginal in (True, False):
-            fun = _entropy_objective(rho.matrix, marginal)
-            values, grads = fun(x)
-            for k in range(len(x)):
-                for part in (x[k : k + 1], x[k : k + 3]):
-                    v, g = fun(part)
-                    assert v[0] == values[k] and np.array_equal(g[0], grads[k]), (k, len(part))
+        fun = objective(rho)
+        values, grads = fun(x)
+        for k in range(len(x)):
+            for part in (x[k : k + 1], x[k : k + 3]):
+                v, g = fun(part)
+                assert v[0] == values[k] and np.array_equal(g[0], grads[k]), (k, len(part))
 
     def test_memory_cut_leaves_results_unchanged(self, monkeypatch):
         # At N = 8 a default call holds one start; let one call hold all of
@@ -609,7 +620,7 @@ class TestStackedStarts:
         results = []
         for budget in (4**n, 2 * 4**n, 2**40):
             monkeypatch.setattr(measurement, "_KERNEL_ENTRIES", budget)
-            fun = _entropy_objective(rho.matrix, marginal=True)
+            fun = objective(rho)
             values, grads = fun(np.array(points))
             res, _, _ = _run_starts(fun, points, opts, offset=0.0)
             results.append((values, grads, res))
@@ -628,7 +639,7 @@ class TestStackedStarts:
         for n in range(2, 7):
             opts = OptimizerOptions(seed=n, starts=8 if n <= 3 else 4)
             for rho in (random_density_matrix(n, rng), rotated_family_state(n, rng)):
-                fun = _entropy_objective(rho.matrix, marginal=True)
+                fun = objective(rho)
                 points = _start_points(n, opts)
                 res, best, diag = _run_starts(fun, points, opts, offset=0.0)
                 refs = [
@@ -667,11 +678,35 @@ class TestMixedMarginalShortcut:
             full = gqd_numeric(rho)
             assert abs(fast.value - full.value) <= 1e-6
 
-    def test_rejects_biased_marginals_naming_qubit(self):
-        rng = np.random.default_rng(RNG_SEED)
-        biased = DensityMatrix(np.kron(np.diag([0.9, 0.1]), np.eye(2) / 2))
-        with pytest.raises(ValueError, match="qubit 0"):
+    # Qubit ``qubit`` of an n-qubit product state has the Bloch vector
+    # ``bloch``, every other qubit I/2. Each deviation has four significant
+    # digits, so the message's ``.3e`` figure is exact.
+    @pytest.mark.parametrize("n, qubit, bloch", [
+        (2, 0, (0.0, 0.0, 0.8)),
+        (3, 1, (0.25, 0.0, 0.0)),
+        (3, 1, (0.0, -0.25, 0.0)),
+        (3, 1, (0.3, 0.4, 0.0)),
+    ], ids=["z-qubit0", "x-qubit1", "y-qubit1", "xy-qubit1"])
+    def test_rejects_biased_marginals_naming_qubit(self, n, qubit, bloch):
+        r_sigma = bloch[0] * PAULI_X + bloch[1] * PAULI_Y + bloch[2] * PAULI_Z
+        factors = [IDENTITY_2 / 2] * n
+        factors[qubit] = (IDENTITY_2 + r_sigma) / 2
+        biased = DensityMatrix(functools.reduce(np.kron, factors))
+        with pytest.raises(ValueError, match=f"^qubit {qubit} marginal deviates") as exc:
             gqd_maximally_mixed(biased)
+        want = np.max(np.abs(partial_trace(biased, {qubit}).matrix - IDENTITY_2 / 2))
+        reported = float(re.search(r"by (\S+),", str(exc.value)).group(1))
+        assert abs(reported - want) <= 1e-15
+
+    def test_accepts_marginals_within_the_tolerance(self):
+        # Qubit 1's marginal is off I/2 by 1e-9 in its off-diagonal entry.
+        params = WernerGhzParams(3, 0.5)
+        tilt = 1e-9 * np.kron(np.kron(IDENTITY_2, PAULI_X), IDENTITY_2) / 4
+        rho = DensityMatrix(werner_ghz_state(params).matrix + tilt)
+        dev = np.max(np.abs(partial_trace(rho, {1}).matrix - IDENTITY_2 / 2))
+        assert dev == pytest.approx(1e-9, rel=1e-6)
+        res = gqd_maximally_mixed(rho)
+        assert abs(res.value - gqd_werner_ghz(params)) <= 1e-6
 
     def test_short_circuits_on_maximally_mixed(self):
         res = gqd_maximally_mixed(maximally_mixed(2))
@@ -698,6 +733,23 @@ class TestMixedMarginalShortcut:
         rho = werner_ghz_state(WernerGhzParams(2, 0.5))
         res = gqd_maximally_mixed(rho)
         assert res.diagnostics.raw_value <= res.value + 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verify_check_holds_by_the_dense_route(self, seed):
+        result = check_mixed_marginal_shortcut(seed, 100)
+        assert result.passed and result.tolerance == 1e-9
+        assert result.margin <= 1e-12
+
+    def test_verify_check_catches_a_shifted_discord(self, monkeypatch):
+        solve = checks.gqd_maximally_mixed
+
+        def shifted(rho, opts=None):
+            res = solve(rho, opts)
+            diag = dataclasses.replace(res.diagnostics, raw_value=res.diagnostics.raw_value + 1e-3)
+            return dataclasses.replace(res, value=res.value + 1e-3, diagnostics=diag)
+
+        monkeypatch.setattr(checks, "gqd_maximally_mixed", shifted)
+        assert not check_mixed_marginal_shortcut(0, 100).passed
 
 
 class TestGqdResult:

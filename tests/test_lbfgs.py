@@ -6,7 +6,7 @@ import pytest
 from gqd import lbfgs
 from gqd.discord import _GRAD_TOL, OptimizerOptions, _start_points
 from gqd.lbfgs import minimize_stacked
-from gqd.measurement import _entropy_objective
+from gqd.measurement import _entropy_objective, _pauli_coefficients
 from gqd.qcore import random_density_matrix
 
 STARTS = np.array([
@@ -199,7 +199,7 @@ class TestPinnedResults:
         rho = random_density_matrix(n, np.random.default_rng(9))
         opts = OptimizerOptions(seed=9)
         res = minimize_stacked(
-            _entropy_objective(rho.matrix, marginal=True), np.array(_start_points(n, opts)),
+            _entropy_objective(_pauli_coefficients(rho.matrix).real), np.array(_start_points(n, opts)),
             opts.max_evals_per_start, opts.f_tol, _GRAD_TOL,
         )
         nfev, nit, fun = PINNED_SOLVES[n]

@@ -12,6 +12,7 @@ import pytest
 from gqd.discord import WernerGhzParams, werner_ghz_state
 from gqd.measurement import (
     LocalMeasurement,
+    _bloch_vectors,
     _leg_matrices,
     _measured_distribution,
     _pauli_coefficients,
@@ -155,8 +156,7 @@ class TestPauliCoefficients:
         rng = np.random.default_rng(RNG_SEED + 500 + n)
         rho = random_density_matrix(n, rng)
         t = _pauli_coefficients(rho.matrix).real
-        for j in range(n):
-            got = 2**n * t[(0,) * j + (slice(1, None),) + (0,) * (n - j - 1)]
+        for j, got in enumerate(_bloch_vectors(t)):
             reduced = partial_trace(rho, {j}).matrix
             want = [np.trace(reduced @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)]
             assert np.max(np.abs(got - want)) <= 1e-12, j
