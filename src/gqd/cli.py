@@ -33,6 +33,7 @@ from .discord import (
     PauliDiagonalParams,
     QubitLimitError,
     WernerGhzParams,
+    _check_numeric_size,
     _werner_ghz_bits,
     gqd_numeric,
     gqd_pauli_diagonal,
@@ -192,15 +193,15 @@ def _fmt(x: float) -> str:
 
 
 # Each optional optimizer flag of `compute` with its OptimizerOptions field.
-_OPTIMIZER_FLAGS = {"starts": "starts", "tol": "f_tol", "max_n": "max_qubits"}
+_OPTIMIZER_FLAGS = {"seed": "seed", "starts": "starts", "tol": "f_tol", "max_n": "max_qubits"}
 
 
 def _optimizer_options(args) -> OptimizerOptions:
-    kwargs = {"seed": args.seed}
-    for flag, field in _OPTIMIZER_FLAGS.items():
-        if getattr(args, flag) is not None:
-            kwargs[field] = getattr(args, flag)
-    return OptimizerOptions(**kwargs)
+    return OptimizerOptions(**{
+        field: getattr(args, flag)
+        for flag, field in _OPTIMIZER_FLAGS.items()
+        if getattr(args, flag) is not None
+    })
 
 
 def _result_record(result: GqdResult, seed: int, wall_time: float) -> dict:
@@ -236,13 +237,10 @@ def cmd_compute(args) -> int:
         value, tag = doc.closed_form()
         result = GqdResult(value=max(value, 0.0), method=tag)
     else:
-        if doc.n_qubits > opts.max_qubits:
-            raise QubitLimitError(
-                f"document has {doc.n_qubits} qubits, above the dense limit "
-                f"of {opts.max_qubits}"
-            )
+        # Before the dense state is built, whose size is exponential in N.
+        _check_numeric_size(doc.n_qubits, opts)
         result = gqd_numeric(doc.to_density_matrix(), opts)
-    record = _result_record(result, args.seed, time.perf_counter() - t0)
+    record = _result_record(result, opts.seed, time.perf_counter() - t0)
     print(json.dumps(record))
     return EXIT_OK
 
@@ -380,7 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "--method", choices=("auto", "numeric", "closed"), default="auto"
     )
-    p_compute.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_compute.add_argument(
+        "--seed", type=int, default=None, help="optimizer RNG seed (default 0)"
+    )
     p_compute.add_argument("--starts", type=int, default=None, help="optimizer starts")
     p_compute.add_argument(
         "--tol", type=float, default=None, help="optimizer objective tolerance"

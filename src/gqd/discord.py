@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lbfgs import StackedResult, minimize_stacked
-from .measurement import LocalMeasurement, _bloch_vectors, _entropy_objective, _pauli_coefficients
+from .measurement import LocalMeasurement, _AXES, _bloch_vectors, _entropy_objective, _pauli_coefficients
 from .qcore import (
     BlochVector,
     DensityMatrix,
@@ -363,7 +363,8 @@ class OptimizerDiagnostics:
     ``starts_agreeing`` counts the starts whose final value lies within 1e-6
     of the best. ``grad_norm`` is the largest per-qubit norm of the tangent
     (Riemannian) gradient at the optimum; ``converged`` is the winning
-    start's stopping flag.
+    start's stopping flag. Every numeric result, ``I / d`` included, comes
+    from a solve, so ``1 <= starts_agreeing <= starts <= evaluations``.
     """
 
     starts: int
@@ -405,14 +406,13 @@ def _resolve_threads(requested: int | None, n_tasks: int) -> int:
 _GRAD_TOL = 1e-7
 # Starts whose final values lie this close to the best count as agreeing.
 _AGREE_TOL = 1e-6
-_AXIS_VECTORS = {"z": (0.0, 0.0, 1.0), "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}
 
 
 def _start_points(n: int, opts: OptimizerOptions) -> list[np.ndarray]:
     """Stacked direction vectors ``[v_0, v_1, ...]`` of every start."""
     total = opts.starts if opts.starts is not None else 8 * n
     axes = ("z", "x", "y")[: min(3, total)]
-    points = [np.tile(_AXIS_VECTORS[axis], n) for axis in axes]
+    points = [np.tile(_AXES[axis], n) for axis in axes]
     rng = np.random.default_rng(opts.seed)
     while len(points) < total:
         z = rng.uniform(-1.0, 1.0, size=n)
@@ -471,39 +471,26 @@ def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
     return res, best, diag
 
 
-def _is_maximally_mixed(rho: DensityMatrix) -> bool:
-    d = rho.dim
-    return bool(np.max(np.abs(rho.matrix - np.eye(d) / d)) <= 1e-12)
-
-
-def _check_numeric_size(rho: DensityMatrix, opts: OptimizerOptions) -> None:
-    n = rho.n_qubits
-    if n < 2:
-        raise ValueError(f"discord needs >= 2 qubits, got {n}")
+def _check_numeric_size(n: int, opts: OptimizerOptions) -> None:
+    """The one entry rule of the numeric routes, on the qubit count alone so
+    that a caller can apply it before building the dense state. The limit
+    comes first: a count above it is a :class:`QubitLimitError` (CLI exit
+    3) even when it is also below 2."""
     if n > opts.max_qubits:
         raise QubitLimitError(
             f"state has {n} qubits, above the dense limit of {opts.max_qubits}"
         )
+    if n < 2:
+        raise ValueError(f"discord needs >= 2 qubits, got {n}")
 
 
 def _solve(
     rho: DensityMatrix, coeffs: np.ndarray, opts: OptimizerOptions, method: str
 ) -> GqdResult:
-    """The numeric routes' shared tail: zero at once for ``I / d``, else ``I(rho)`` plus
-    the best start's ``H(q) - sum_j H(q_j)``, from the state's real Pauli tensor."""
+    """The numeric routes' shared tail, one solve for every state, ``I / d``
+    included: ``I(rho)`` plus the best start's ``H(q) - sum_j H(q_j)``, from
+    the state's real Pauli tensor."""
     n = rho.n_qubits
-    if _is_maximally_mixed(rho):
-        diag = OptimizerDiagnostics(
-            starts=0,
-            iterations=0,
-            evaluations=0,
-            starts_agreeing=0,
-            grad_norm=0.0,
-            seed=opts.seed,
-            raw_value=0.0,
-            converged=True,
-        )
-        return GqdResult(0.0, method, LocalMeasurement.along_axis("z", n), diag)
     fun = _entropy_objective(coeffs)
     res, best, diag = _run_starts(fun, _start_points(n, opts), opts, mutual_information(rho))
     measurement = _measurement_from(res.x[best])
@@ -520,7 +507,7 @@ def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> Gqd
     fixed ``opts.seed`` regardless of how the starts are scheduled.
     """
     opts = opts or OptimizerOptions()
-    _check_numeric_size(rho, opts)
+    _check_numeric_size(rho.n_qubits, opts)
     return _solve(rho, _pauli_coefficients(rho.matrix).real, opts, "numeric")
 
 
@@ -530,7 +517,7 @@ def gqd_maximally_mixed(rho: DensityMatrix, opts: OptimizerOptions | None = None
     marginal deviates from ``I/2`` by more than 1e-8, naming the first such
     qubit."""
     opts = opts or OptimizerOptions()
-    _check_numeric_size(rho, opts)
+    _check_numeric_size(rho.n_qubits, opts)
     coeffs = _pauli_coefficients(rho.matrix).real
     r = _bloch_vectors(coeffs)
     # The largest entry of rho_j - I/2 = r_j . sigma / 2.

@@ -61,6 +61,10 @@ def canonical_direction(v: BlochVector) -> BlochVector:
     return v
 
 
+# Unit vector of each coordinate axis, also the optimizer's axis starts.
+_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+
+
 @dataclass(frozen=True)
 class LocalMeasurement:
     """One projective measurement direction per qubit."""
@@ -83,14 +87,9 @@ class LocalMeasurement:
     @classmethod
     def along_axis(cls, axis: str, n_qubits: int) -> "LocalMeasurement":
         """Same coordinate axis on every qubit."""
-        vec = {
-            "x": BlochVector(1.0, 0.0, 0.0),
-            "y": BlochVector(0.0, 1.0, 0.0),
-            "z": BlochVector(0.0, 0.0, 1.0),
-        }.get(axis)
-        if vec is None:
+        if axis not in _AXES:
             raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-        return cls(tuple(vec for _ in range(n_qubits)))
+        return cls((BlochVector(*_AXES[axis]),) * n_qubits)
 
     def canonicalized(self) -> "LocalMeasurement":
         return LocalMeasurement(tuple(canonical_direction(d) for d in self.directions))

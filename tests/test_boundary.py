@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gqd.cli import EXIT_INVALID_INPUT, EXIT_OK, EXIT_QUBIT_LIMIT, main
@@ -152,6 +152,11 @@ def assert_compute_output(code, out, err):
             assert_finite(direction)
         diag = record["diagnostics"] or {}
         assert_finite([v for v in diag.values() if not isinstance(v, bool)])
+        if diag:
+            # Evidence for the minimum, I/2^N included.
+            assert diag["starts"] >= 1
+            assert 1 <= diag["starts_agreeing"] <= diag["starts"]
+            assert diag["evaluations"] >= diag["starts"]
 
 
 @settings(SETTINGS, max_examples=300)
@@ -194,6 +199,14 @@ def test_compute_rejects_dense_entries_that_are_not_numbers(workdir, doc, pick, 
         ),
         optional("--max-n", mostly(ints(2, 3), st.one_of(ints(-1, 1), junk_tokens))),
     ),
+)
+@example(
+    doc={"kind": "werner_ghz", "n_qubits": 3, "mu": 0.0},
+    flags=(["--method=numeric"], [], [], [], []),
+)
+@example(
+    doc={"kind": "pauli_diagonal", "n_qubits": 2, "c1": 0.0, "c2": 0.0, "c3": 0.0},
+    flags=(["--method=numeric"], [], ["--starts=5"], [], []),
 )
 def test_compute_on_any_flags(workdir, doc, flags):
     path = workdir / "doc.json"

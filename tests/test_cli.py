@@ -172,6 +172,7 @@ class TestCompute:
         want = gqd_werner_ghz(WernerGhzParams(3, 0.5))
         assert math.isclose(record["value"], want, abs_tol=1e-12)
         assert record["optimal_measurement"] is None
+        assert record["seed"] == 0
 
     def test_pauli_auto_routes_to_closed_form(self, tmp_path, capsys):
         doc = write_doc(
@@ -184,13 +185,15 @@ class TestCompute:
         assert record["method"] == "pauli_diagonal"
         assert math.isclose(record["value"], 0.07192425229193178, abs_tol=1e-12)
 
-    def test_numeric_route_on_family_document(self, tmp_path, capsys):
-        doc = write_doc(tmp_path / "w.json", {"kind": "werner_ghz", "n_qubits": 2, "mu": 0.5})
+    # mu = 0 is I/4, which runs the same solve as any other state.
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_numeric_route_on_family_document(self, tmp_path, capsys, mu):
+        doc = write_doc(tmp_path / "w.json", {"kind": "werner_ghz", "n_qubits": 2, "mu": mu})
         code, out, _ = run_cli(capsys, "compute", "--input", doc, "--method", "numeric")
         assert code == EXIT_OK
         record = json.loads(out)
         assert record["method"] == "numeric"
-        assert abs(record["value"] - gqd_werner_ghz(WernerGhzParams(2, 0.5))) <= 1e-4
+        assert abs(record["value"] - gqd_werner_ghz(WernerGhzParams(2, mu))) <= 1e-4
         assert len(record["optimal_measurement"]) == 2
         assert record["diagnostics"]["evaluations"] > 0
         diag = record["diagnostics"]
@@ -258,11 +261,16 @@ class TestCompute:
         assert code == EXIT_QUBIT_LIMIT
         assert "4 qubits" in err
 
-    def test_numeric_route_keeps_the_default_qubit_limit(self, tmp_path, capsys):
-        doc = write_doc(tmp_path / "w13.json", {"kind": "werner_ghz", "n_qubits": 13, "mu": 0.5})
-        code, _, err = run_cli(capsys, "compute", "--input", doc, "--method", "numeric")
-        assert code == EXIT_QUBIT_LIMIT
-        assert "13 qubits, above the dense limit of 12" in err
+    @pytest.mark.parametrize("n", [13, 20])
+    def test_numeric_route_keeps_the_default_qubit_limit(self, tmp_path, capsys, monkeypatch, n):
+        def build(doc):
+            raise AssertionError("dense state built before the qubit limit was checked")
+
+        monkeypatch.setattr(StateDocument, "to_density_matrix", build)
+        doc = write_doc(tmp_path / "w.json", {"kind": "werner_ghz", "n_qubits": n, "mu": 0.5})
+        code, out, err = run_cli(capsys, "compute", "--input", doc, "--method", "numeric")
+        assert code == EXIT_QUBIT_LIMIT and out == ""
+        assert f"{n} qubits, above the dense limit of 12" in err
 
     def test_closed_form_bypasses_qubit_limit(self, tmp_path, capsys):
         doc = write_doc(tmp_path / "w20.json", {"kind": "werner_ghz", "n_qubits": 20, "mu": 0.5})
@@ -294,7 +302,8 @@ class TestCompute:
         ],
     )
     @pytest.mark.parametrize(
-        "flag, value", [("--starts", "5"), ("--tol", "1e-3"), ("--max-n", "2")]
+        "flag, value",
+        [("--seed", "3"), ("--starts", "5"), ("--tol", "1e-3"), ("--max-n", "2")],
     )
     def test_closed_route_rejects_optimizer_flags(
         self, tmp_path, capsys, method, doc, flag, value

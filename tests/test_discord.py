@@ -360,11 +360,28 @@ class TestNumericOptimizer:
         rho = DensityMatrix(np.kron(a.matrix, b.matrix))
         assert gqd_numeric(rho).value <= 1e-6
 
-    def test_maximally_mixed_short_circuits(self):
-        res = gqd_numeric(maximally_mixed(3))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_maximally_mixed_runs_the_solve(self, n):
+        # The objective is flat at zero, so every start stops after its
+        # first evaluation, agrees, and the z start wins the tie.
+        res = gqd_numeric(maximally_mixed(n))
+        diag = res.diagnostics
+        assert res.value == 0.0 and diag.raw_value == 0.0
+        assert diag.starts == diag.evaluations == diag.starts_agreeing == 8 * n
+        assert diag.converged
+        assert res.optimal_measurement == LocalMeasurement.along_axis("z", n)
+
+    def test_near_maximally_mixed_reports_zero(self):
+        rng = np.random.default_rng(RNG_SEED)
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = h + h.conj().T
+        h -= np.trace(h) / 4 * np.eye(4)
+        rho = DensityMatrix(np.eye(4) / 4 + 1e-13 * h / np.abs(h).max())
+        assert 0.0 < np.max(np.abs(rho.matrix - np.eye(4) / 4)) <= 1e-13
+        res = gqd_numeric(rho)
         assert res.value == 0.0
-        assert res.diagnostics.starts == 0
-        assert res.diagnostics.converged
+        assert abs(res.diagnostics.raw_value) <= 1e-15
+        assert res.diagnostics.starts_agreeing == res.diagnostics.starts
 
     def test_optimal_measurement_is_canonical(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -511,10 +528,11 @@ class TestResultCertificate:
         assert diag.raw_value == 0.5 + res.fun[best]
         assert diag.grad_norm <= 1e-6
 
-    def test_short_circuit_reports_zero(self):
+    def test_maximally_mixed_honours_starts(self):
         rho = maximally_mixed(2)
-        for res in (gqd_numeric(rho), gqd_maximally_mixed(rho)):
-            assert res.diagnostics.starts_agreeing == 0
+        opts = OptimizerOptions(starts=5)
+        for res in (gqd_numeric(rho, opts), gqd_maximally_mixed(rho, opts)):
+            assert res.diagnostics.starts == res.diagnostics.starts_agreeing == 5
             assert res.diagnostics.grad_norm == 0.0
 
     def test_unknown_option_is_rejected(self):
@@ -708,10 +726,11 @@ class TestMixedMarginalShortcut:
         res = gqd_maximally_mixed(rho)
         assert abs(res.value - gqd_werner_ghz(params)) <= 1e-6
 
-    def test_short_circuits_on_maximally_mixed(self):
+    def test_zero_on_maximally_mixed(self):
         res = gqd_maximally_mixed(maximally_mixed(2))
         assert res.value == 0.0
         assert res.method == "maximally_mixed"
+        assert res.diagnostics.starts_agreeing == res.diagnostics.starts == 16
 
     def test_matches_closed_forms_on_acceptance_grids(self):
         # The GHZ-mixture grid of acceptance criterion 1 and two-qubit

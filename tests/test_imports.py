@@ -1,7 +1,8 @@
-"""Every package module but ``__init__`` uses each name it imports.
+"""Every package module but ``__init__`` uses each name it imports, and
+every module-level private name of the package is read somewhere in it.
 
-A stdlib ``ast`` scan, so that an import left behind by a deletion fails
-the suite without a linter installed.
+Stdlib ``ast`` scans, so that an import or a helper left behind by a
+deletion fails the suite without a linter installed.
 """
 
 import ast
@@ -41,3 +42,59 @@ def test_flags_an_import_left_behind():
     stale = "from .qcore import partial_trace, von_neumann_entropy\n"
     assert unused_imports(stale + source) == ["partial_trace", "von_neumann_entropy"]
     assert unused_imports("import os.path\nfrom a import b as c\n") == ["c", "os"]
+
+
+def private_definitions(source: str) -> set[str]:
+    """Private (``_x``, not dunder) names bound at the top level of ``source``."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """Names ``source`` reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level private name no module reads."""
+    read = set().union(*map(names_read, sources.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in private_definitions(source) - read
+    )
+
+
+def package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(package_sources()) == []
+
+
+def test_flags_a_private_name_left_behind():
+    sources = package_sources()
+    sources["discord"] += (
+        "\n\ndef _is_maximally_mixed(rho):\n"
+        "    return bool(np.max(np.abs(rho.matrix - np.eye(rho.dim) / rho.dim)) <= 1e-12)\n"
+    )
+    assert unread_private_names(sources) == ["discord._is_maximally_mixed"]
+    # A store or a definition is not a read; a read in another module is.
+    assert unread_private_names({"a": "_x = 1\n_x = 2\n", "b": ""}) == ["a._x"]
+    assert unread_private_names({"a": "_x = 1\n", "b": "from a import _x\n"}) == []
+    assert unread_private_names({"a": "_x = 1\n", "b": "import a\na._x\n"}) == []
