@@ -28,6 +28,7 @@ import numpy as np
 
 from .checks import MAX_TRIALS, SCOPES, run_checks
 from .discord import (
+    MAX_STARTS,
     GqdResult,
     OptimizerOptions,
     PauliDiagonalParams,
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "--seed", type=int, default=None, help="optimizer RNG seed (default 0)"
     )
-    p_compute.add_argument("--starts", type=int, default=None, help="optimizer starts")
+    p_compute.add_argument("--starts", type=int, default=None, help=f"optimizer starts, at most {MAX_STARTS}")
     p_compute.add_argument(
         "--tol", type=float, default=None, help="optimizer objective tolerance"
     )

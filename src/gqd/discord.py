@@ -41,6 +41,7 @@ __all__ = [
     "ConstraintCheck",
     "ValidationReport",
     "validate_pauli_params",
+    "MAX_STARTS",
     "OptimizerOptions",
     "OptimizerDiagnostics",
     "GqdResult",
@@ -52,6 +53,10 @@ __all__ = [
     "gqd_numeric",
     "gqd_maximally_mixed",
 ]
+
+# Most starts one solve may ask for, about 100 times the largest default (8
+# per qubit at the default limit of 12 qubits); all are built before a solve.
+MAX_STARTS = 10_000
 
 # Slack accepted on the closed-form validity bounds, so that states sitting
 # exactly on the boundary (pure GHZ, Bell mixtures with a zero weight) are
@@ -304,20 +309,18 @@ def gqd_pauli_diagonal(params: PauliDiagonalParams) -> float:
 class OptimizerOptions:
     """Knobs for the numeric minimization.
 
-    All starts are refined by one stacked L-BFGS (:mod:`gqd.lbfgs`) on one
+    All starts are refined by stacked L-BFGS (:mod:`gqd.lbfgs`) on one
     unconstrained 3-vector per qubit; each start keeps its own memory, line
-    search and stopping tests. ``starts`` (at least 1) defaults to
-    ``8 * n_qubits``: the three fixed axis starts (z, x, y on every qubit)
-    plus seeded random directions. ``max_evals_per_start`` (at least 1)
-    caps the value-and-gradient evaluations of one start (L-BFGS-B
+    search and stopping tests. ``starts`` (1 to :data:`MAX_STARTS`) defaults
+    to ``8 * n_qubits``: the three fixed axis starts (z, x, y on every
+    qubit) plus seeded random directions. ``max_evals_per_start`` (at least
+    1) caps the value-and-gradient evaluations of one start (L-BFGS-B
     ``maxfun``: checked when an iteration ends), and ``f_tol`` (finite and
     at least 0) is its relative-decrease stopping tolerance (L-BFGS-B
-    ``ftol``). ``threads`` (at least 0) splits the stack of starts into that
-    many contiguous chunks run on a thread pool; None (the default) runs
-    them in one stack, and 0 means one thread per CPU, capped by the number
-    of starts. The result does not depend on it.
-    ``seed`` (at least 0) seeds the random starts. Every field but
-    ``f_tol`` is a plain ``int``. Construction raises
+    ``ftol``). ``threads`` (at least 1) runs the starts in that many chunks
+    on a thread pool, capped by the number of starts and of CPUs; the result
+    does not depend on it. ``seed`` (at least 0) seeds the random starts.
+    Every field but ``f_tol`` is a plain ``int``. Construction raises
     :class:`InvalidParamsError` for a value of another type or out of these
     ranges.
     """
@@ -327,7 +330,7 @@ class OptimizerOptions:
     max_evals_per_start: int = 2000
     f_tol: float = 1e-10
     max_qubits: int = 12
-    threads: int | None = None
+    threads: int = 1
 
     def __post_init__(self):
         if not (
@@ -338,22 +341,24 @@ class OptimizerOptions:
             raise InvalidParamsError(
                 f"f_tol must be finite and >= 0, got {self.f_tol!r}"
             )
-        # Each integer field with its least value. A plain type test, as for
-        # n_qubits: bool is an int subclass.
-        for name, low in (
-            ("seed", 0),
-            ("starts", 1),
-            ("max_evals_per_start", 1),
-            ("max_qubits", None),
-            ("threads", 0),
+        # Each integer field with its least and greatest value. A plain type
+        # test, as for n_qubits: bool is an int subclass.
+        for name, low, high in (
+            ("seed", 0, None),
+            ("starts", 1, MAX_STARTS),
+            ("max_evals_per_start", 1, None),
+            ("max_qubits", None, None),
+            ("threads", 1, None),
         ):
             v = getattr(self, name)
-            if v is None and name in ("starts", "threads"):
+            if v is None and name == "starts":
                 continue
             if type(v) is not int:
                 raise InvalidParamsError(f"{name} must be an integer, got {v!r}")
             if low is not None and v < low:
                 raise InvalidParamsError(f"{name} must be >= {low}, got {v}")
+            if high is not None and v > high:
+                raise InvalidParamsError(f"{name} must be <= {high}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -391,14 +396,6 @@ class GqdResult:
     diagnostics: OptimizerDiagnostics | None = None
 
 
-def _resolve_threads(requested: int | None, n_tasks: int) -> int:
-    if requested is None:
-        return 1
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, n_tasks))
-
-
 # A start also stops once every gradient component is below this. Much
 # lower is not attainable: near a minimum a gradient g buys a decrease of
 # about g^2 / curvature, which drops under the objective's rounding below
@@ -432,8 +429,8 @@ def _measurement_from(x: np.ndarray) -> LocalMeasurement:
 def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
     """Minimize from every start; reduce deterministically by (value, index).
 
-    The starts run as one stacked L-BFGS, split into ``threads`` contiguous
-    chunks on a thread pool when more than one thread is asked for. Returns
+    Each of ``min(threads, starts, CPUs)`` contiguous chunks of starts runs
+    as one stacked L-BFGS, on a thread pool when there are several. Returns
     the per-start result, the index of the best start and the diagnostics,
     whose ``raw_value`` is ``offset`` plus the best value.
     """
@@ -442,17 +439,16 @@ def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
         return minimize_stacked(fun, x0, opts.max_evals_per_start, opts.f_tol, _GRAD_TOL)
 
     stack = np.array(points, dtype=float)
-    n_threads = _resolve_threads(opts.threads, len(stack))
-    if n_threads > 1:
+    chunks = np.array_split(stack, min(opts.threads, len(stack), os.cpu_count() or 1))
+    if len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            chunks = list(pool.map(run, np.array_split(stack, n_threads)))
-        res = StackedResult(
-            *(np.concatenate([getattr(c, f) for c in chunks]) for f in StackedResult.__dataclass_fields__)
-        )
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(run, chunks))
     else:
-        res = run(stack)
+        parts = list(map(run, chunks))
+    # Each field, concatenated over the chunks in order.
+    res = StackedResult(*map(np.concatenate, zip(*(vars(p).values() for p in parts))))
 
     best = int(np.argmin(res.fun))
     # The tangent gradient is |v_j| times the gradient in v_j.

@@ -83,10 +83,6 @@ def sudden_transition_point(params: PauliDiagonalParams) -> float | None:
     otherwise (including ties, where the curve has no interior kink).
     """
     _checked_weights(params)
-    return _transition_point(params)
-
-
-def _transition_point(params: PauliDiagonalParams) -> float | None:
     transverse = max(abs(params.c1), abs(params.c2))
     longitudinal = abs(params.c3)
     if 0.0 < longitudinal < transverse:
@@ -268,7 +264,7 @@ def scan_gqd_vs_p(
         raise ValueError("p_grid entries must be finite")
     if grid[0] < 0.0 or grid[-1] > 1.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("p_grid must increase strictly within [0, 1]")
-    _checked_weights(params)
+    predicted = sudden_transition_point(params)
 
     n = params.n_qubits
     factor = 1.0 - grid
@@ -285,7 +281,7 @@ def scan_gqd_vs_p(
     gqd_vals = np.maximum(_pauli_diagonal_bits(n, c1_p, c2_p, c3_p, weights), 0.0)
     code = _active_branches(params, factor)
     report = ScanReport(
-        predicted_transition_p=_transition_point(params),
+        predicted_transition_p=predicted,
         kinks=_detect_kinks(grid, gqd_vals, code),
         plateaus=_detect_plateaus(grid, gqd_vals),
     )

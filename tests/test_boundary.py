@@ -274,8 +274,7 @@ def test_dephase_scan_on_any_arguments(workdir, n, coefficients, steps):
             ),
             "f_tol": mostly(st.floats(0, 1e-2), st.one_of(st.floats(), option_junk)),
             "max_qubits": mostly(st.integers(2, 12), st.one_of(st.integers(-1, 1), option_junk)),
-            # threads=0 would mean one thread per CPU.
-            "threads": mostly(st.integers(1, 2), st.one_of(st.just(-1), option_junk)),
+            "threads": mostly(st.integers(1, 2), st.one_of(st.integers(-1, 0), option_junk)),
         },
     )
 )

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its state documents."""
 
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from gqd.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
     EXIT_QUBIT_LIMIT,
+    EXIT_VERIFY_FAILED,
     MAX_GRID_STEPS,
     DocumentError,
     StateDocument,
@@ -26,9 +28,10 @@ from gqd.cli import (
     save_state_document,
     state_document_from_dict,
 )
-from gqd.checks import MAX_TRIALS
+from gqd.checks import MAX_TRIALS, CheckResult, run_checks
 from gqd.cli import _CSV_CHUNK, _csv_chunks, _fmt
 from gqd.discord import (
+    MAX_STARTS,
     PauliDiagonalParams,
     WernerGhzParams,
     _werner_ghz_bits,
@@ -60,22 +63,27 @@ def forbid_grids(monkeypatch):
 
 
 class TestStateDocuments:
-    def test_dense_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(99)
-        rho = random_density_matrix(2, rng)
-        doc = StateDocument("dense", 2, matrix=rho.matrix)
-        path = tmp_path / "dense.json"
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            StateDocument("dense", 2, matrix=random_density_matrix(2, np.random.default_rng(99)).matrix),
+            StateDocument("werner_ghz", 3, mu=0.1),
+            StateDocument("pauli_diagonal", 4, coefficients=(0.1, -0.2, 1.0 / 3.0)),
+        ],
+        ids=lambda doc: doc.kind,
+    )
+    def test_round_trip_gives_back_every_field(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
         save_state_document(str(path), doc)
         back = load_state_document(str(path))
-        assert back.kind == "dense"
-        assert np.array_equal(back.matrix, rho.matrix)
-
-    def test_family_round_trip(self, tmp_path):
-        path = tmp_path / "w.json"
-        save_state_document(str(path), StateDocument("werner_ghz", 3, mu=0.1))
-        back = load_state_document(str(path))
-        assert back.mu == 0.1
-        assert back.n_qubits == 3
+        for field in dataclasses.fields(StateDocument):
+            got, want = getattr(back, field.name), getattr(doc, field.name)
+            if isinstance(want, np.ndarray):
+                # Bit for bit, the dtype and shape included.
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got == want, field.name
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(DocumentError, match="kind"):
@@ -293,6 +301,13 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_rejects_starts_above_the_cap_before_reading_the_document(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, "compute", "--input", missing, "--starts", str(MAX_STARTS + 1))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err == f"error: starts must be <= {MAX_STARTS}, got {MAX_STARTS + 1}\n"
+
     @pytest.mark.parametrize("method", ["auto", "closed"])
     @pytest.mark.parametrize(
         "doc",
@@ -338,6 +353,14 @@ class TestCompute:
 
 
 class TestFigure1:
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "fig.csv"
+        code, out, err = run_cli(capsys, "figure1", "--out", str(out_path))
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert err.startswith("error: cannot write output file:")
+        assert not out_path.parent.exists()
+
     def test_grid_layout_and_endpoints(self, tmp_path, capsys):
         out_path = tmp_path / "fig.csv"
         code, _, _ = run_cli(
@@ -650,6 +673,33 @@ class TestVerify:
         assert code == EXIT_INVALID_INPUT
         assert out == ""
         assert err == f"error: trials must lie in [1, {MAX_TRIALS}], got {trials}\n"
+
+    def test_failing_check_exits_1_and_names_it(self, capsys, monkeypatch):
+        from gqd import checks
+
+        def failing(seed, trials):
+            return CheckResult("pinch-trace-identity", "lemmas", False, 0.5, 1e-9, "forced")
+
+        monkeypatch.setattr(checks, "check_pinch_trace", failing)
+        code, out, err = run_cli(capsys, "verify", "--scope", "lemmas", "--trials", "1")
+        assert code == EXIT_VERIFY_FAILED
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == f"[FAIL] {'pinch-trace-identity':<28s} margin 0.5  tol 1e-09  (forced)"
+        assert lines[1:-2] and all(line.startswith("[PASS]") for line in lines[1:-2])
+        assert lines[-2:] == ["3/4 checks passed", "first failing check: pinch-trace-identity"]
+
+    def test_run_checks_rejects_an_unknown_scope_before_any_check(self, monkeypatch):
+        from gqd import checks
+
+        def forbidden(*args):
+            raise AssertionError("a check ran before the scope was checked")
+
+        for name in dir(checks):
+            if name.startswith("check_"):
+                monkeypatch.setattr(checks, name, forbidden)
+        with pytest.raises(ValueError, match=r"scope must be one of .*, got 'everything'"):
+            run_checks(scope="everything")
 
     def test_theorem_scope_passes(self, capsys):
         # reduced trial count: the full default is exercised manually, this

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
 import re
 
 import numpy as np
@@ -14,6 +15,7 @@ from gqd.checks import check_mixed_marginal_shortcut, random_valid_pauli_params
 from gqd.discord import (
     GqdResult,
     InvalidParamsError,
+    MAX_STARTS,
     OptimizerOptions,
     PauliDiagonalParams,
     QubitLimitError,
@@ -551,7 +553,11 @@ class TestOptimizerOptions:
             {"max_evals_per_start": -3},
             {"starts": 0},
             {"starts": -1},
+            {"starts": MAX_STARTS + 1},
             {"threads": -1},
+            {"threads": 0},
+            {"threads": None},
+            {"threads": True},
             {"seed": -1},
             {"starts": 2.5},
             {"seed": 1.5},
@@ -569,9 +575,12 @@ class TestOptimizerOptions:
             OptimizerOptions(**kwargs)
 
     def test_accepts_the_boundaries(self):
-        opts = OptimizerOptions(f_tol=0.0, max_evals_per_start=1, starts=1, threads=0)
+        opts = OptimizerOptions(f_tol=0.0, max_evals_per_start=1, starts=1, threads=1)
         res = gqd_numeric(werner_ghz_state(WernerGhzParams(2, 0.5)), opts)
         assert res.diagnostics.starts == 1
+        assert OptimizerOptions().threads == 1
+        # Built only: a solve with this many starts is not run.
+        assert OptimizerOptions(starts=MAX_STARTS).starts == MAX_STARTS
 
 
 def rotated_family_state(n: int, rng: np.random.Generator) -> DensityMatrix:
@@ -596,9 +605,11 @@ class TestStackedStarts:
     """All starts run as one stacked L-BFGS; each start stays its own run."""
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_each_start_is_independent_of_its_stack(self, n):
+    def test_each_start_is_independent_of_its_stack(self, n, monkeypatch):
         # Per-start results are bit-identical whether the starts run
-        # stacked, one at a time, or split over a four-thread pool.
+        # stacked, one at a time, or split over a four-thread pool, on a
+        # host of any CPU count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         rng = np.random.default_rng(RNG_SEED + 40 + n)
         rho = random_density_matrix(n, rng)
         fun = objective(rho)
@@ -613,6 +624,30 @@ class TestStackedStarts:
             alone, _, _ = _run_starts(fun, [x0], opts, offset=0.0)
             for field in ("x", "fun", "jac", "nit", "nfev", "converged"):
                 assert np.array_equal(getattr(alone, field)[0], getattr(stacked, field)[k]), (k, field)
+
+    @pytest.mark.parametrize(
+        "threads, starts, cpus, workers",
+        [(1, 8, 2, None), (8, 8, 2, 2), (8, 3, 8, 3), (8, 8, None, None)],
+    )
+    def test_pool_is_capped_by_the_starts_and_the_cpus(
+        self, monkeypatch, threads, starts, cpus, workers
+    ):
+        # One chunk runs without a pool; an unknown CPU count means one.
+        from concurrent import futures
+
+        seen = []
+
+        class Spy(futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", Spy)
+        rho = random_density_matrix(2, np.random.default_rng(RNG_SEED + 70))
+        got = gqd_numeric(rho, OptimizerOptions(seed=1, starts=starts, threads=threads))
+        assert seen == ([] if workers is None else [workers])
+        assert got == gqd_numeric(rho, OptimizerOptions(seed=1, starts=starts))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_objective_rows_do_not_depend_on_their_stack(self, n):

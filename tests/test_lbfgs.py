@@ -69,6 +69,42 @@ class TestStackedLbfgs:
         assert np.array_equal(res.x[1], STARTS[1])
         assert res.fun[1] == rosenbrock(STARTS[1:2])[0][0]
 
+    def test_uphill_direction_forgets_the_memory(self, monkeypatch):
+        # Only rounding makes the quasi-Newton direction of a row with pairs
+        # in memory point uphill, so _descent is made to return +g once, for
+        # row 0. As in L-BFGS-B, the row then forgets its memory and steps
+        # along -g; every other row runs as if nothing happened.
+        reference = minimize(STARTS)
+        descent, start_search = lbfgs._Runs._descent, lbfgs._Runs.start_search
+        forced = {}
+
+        def uphill_descent(runs, g):
+            d = descent(runs, g)
+            if "row" in forced and "g" not in forced:
+                k = forced["row"]
+                d[k], forced["g"] = g[k], g[k].copy()
+            return d
+
+        def checked_start_search(runs, start):
+            k = np.flatnonzero(start & (runs.rows == 0) & (runs.col > 0))
+            if "row" in forced or not k.size:
+                return start_search(runs, start)
+            forced["row"] = k = int(k[0])
+            stuck = start_search(runs, start)
+            assert runs.col[k] == 0 and runs.h0[k] == 1.0
+            for mem in (runs.pairs, runs.sy_mem, runs.yy_mem, runs.r_inv):
+                assert not mem[k].any()
+            assert np.array_equal(runs.d[k], -forced["g"]) and not stuck[k]
+            return stuck
+
+        monkeypatch.setattr(lbfgs._Runs, "_descent", uphill_descent)
+        monkeypatch.setattr(lbfgs._Runs, "start_search", checked_start_search)
+        res = minimize(STARTS)
+        assert "g" in forced
+        assert res.converged[0] and np.max(np.abs(res.x[0] - 1.0)) <= 1e-6
+        for field in ("x", "fun", "jac", "nit", "nfev", "converged"):
+            assert np.array_equal(getattr(res, field)[1:], getattr(reference, field)[1:]), field
+
     @pytest.mark.parametrize("max_trials,max_evals", [(1, 2000), (2, 2000), (20, 2000), (20, 10)])
     def test_matches_scipy_lbfgsb(self, monkeypatch, max_trials, max_evals):
         # SciPy's L-BFGS-B as a test-only reference, including its abandoned
