@@ -19,7 +19,6 @@ from .discord import (
     PauliDiagonalParams,
     WernerGhzParams,
     _pauli_diagonal_bits,
-    _pauli_weights,
     _werner_ghz_bits,
     gqd_maximally_mixed,
     gqd_numeric,
@@ -240,7 +239,7 @@ def check_cross_family(seed: int, trials: int) -> CheckResult:
     """The two closed forms agree where the families coincide (n = 2)."""
     mus = np.linspace(0.0, 1.0, 51)
     # (mu, -mu, mu) is a positive state for every mu in [0, 1].
-    pauli = _pauli_diagonal_bits(2, mus, -mus, mus, _pauli_weights(2, mus, -mus, mus))
+    pauli = _pauli_diagonal_bits(2, mus, -mus, mus)
     worst = float(np.max(np.abs(_werner_ghz_bits(2, mus) - pauli)))
     return _result("cross-family-agreement", "theorems", worst, 1e-12)
 

@@ -119,10 +119,10 @@ def _parse_matrix(raw, n_qubits: int) -> np.ndarray:
         + ", ".join(sorted(t.__name__ for t in others)),
     )
     try:
-        arr = grid.astype(float)
+        # A view, not re + 1j * im, which turns an imaginary -0.0 into +0.0.
+        return grid.astype(float).view(np.complex128)[..., 0]
     except OverflowError as exc:
         raise DocumentError(f"dense matrix entry beyond the float range: {exc}") from None
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _number(data: dict, key: str) -> float:
@@ -176,9 +176,7 @@ def save_state_document(path: str, doc: StateDocument) -> None:
     data: dict = {"kind": doc.kind, "n_qubits": doc.n_qubits}
     if doc.kind == "dense":
         mat = np.asarray(doc.matrix, dtype=np.complex128)
-        data["matrix"] = [
-            [[float(v.real), float(v.imag)] for v in row] for row in mat
-        ]
+        data["matrix"] = np.stack([mat.real, mat.imag], axis=-1).tolist()
     elif doc.kind == "werner_ghz":
         data["mu"] = float(doc.mu)
     else:

@@ -126,8 +126,6 @@ class ConstraintCheck:
     name: str
     passed: bool
     value: float
-    low: float
-    high: float
 
 
 @dataclass(frozen=True)
@@ -140,10 +138,7 @@ class ValidationReport:
     def failure_message(self) -> str | None:
         for c in self.checks:
             if not c.passed:
-                return (
-                    f"{c.name} = {c.value:.12g} out of range "
-                    f"[{c.low:g}, {c.high:g}]"
-                )
+                return f"{c.name} = {c.value:.12g} out of range [0, 1]"
         return None
 
 
@@ -180,13 +175,21 @@ def _in_bounds(weights: np.ndarray) -> np.ndarray:
     return (weights >= -_PARAM_TOL) & (weights <= 1.0 + _PARAM_TOL)
 
 
-def _checked_weights(params: PauliDiagonalParams) -> np.ndarray:
-    """:func:`_pauli_weights` of ``params``; raises if the state is not positive."""
-    w = _pauli_weights(params.n_qubits, *params.coefficients())
+def _checked_weights(n_qubits: int, c1, c2, c3, p=None) -> np.ndarray:
+    """:func:`_pauli_weights` of scalar or 1-D coefficients.
+
+    Raises :class:`InvalidParamsError` for the first point whose state is not
+    positive. ``p``, the dephasing grid that 1-D coefficients follow, names
+    that point in the message.
+    """
+    w = _pauli_weights(n_qubits, c1, c2, c3)
     if not _in_bounds(w).all():
+        rows = np.atleast_2d(w)
+        i = int(np.argmin(_in_bounds(rows).all(axis=1)))
+        at = "" if p is None else f" at p = {float(p[i])!r}"
         raise InvalidParamsError(
-            "pauli-diagonal coefficients invalid: "
-            f"{_report(params.n_qubits, w).failure_message()}"
+            f"pauli-diagonal coefficients invalid{at}: "
+            f"{_report(n_qubits, rows[i]).failure_message()}"
         )
     return w
 
@@ -194,7 +197,7 @@ def _checked_weights(params: PauliDiagonalParams) -> np.ndarray:
 def _report(n_qubits: int, weights: np.ndarray) -> ValidationReport:
     names = ["d"] if n_qubits % 2 else [f"lambda{j}" for j in range(1, 5)]
     checks = tuple(
-        ConstraintCheck(name, passed, value, 0.0, 1.0)
+        ConstraintCheck(name, passed, value)
         for name, passed, value in zip(names, _in_bounds(weights).tolist(), weights.tolist())
     )
     return ValidationReport(all(c.passed for c in checks), checks)
@@ -266,7 +269,7 @@ def gqd_werner_ghz_asymptotic(mu: float) -> float:
 
 def pauli_diagonal_state(params: PauliDiagonalParams) -> DensityMatrix:
     """Dense matrix ``(I + c1 X...X + c2 Y...Y + c3 Z...Z) / 2**n``."""
-    _checked_weights(params)
+    _checked_weights(params.n_qubits, *params.coefficients())
     n = params.n_qubits
     d = 2**n
     mat = np.eye(d, dtype=np.complex128)
@@ -276,12 +279,12 @@ def pauli_diagonal_state(params: PauliDiagonalParams) -> DensityMatrix:
     return DensityMatrix(mat / d)
 
 
-def _pauli_diagonal_bits(n_qubits: int, c1, c2, c3, weights: np.ndarray):
-    """Closed-form discord of Pauli-diagonal states, over scalars or arrays.
+def _pauli_diagonal_bits(n_qubits: int, c1, c2, c3, p=None):
+    """Closed-form discord of Pauli-diagonal states, over scalars or 1-D arrays.
 
-    ``weights`` are the coefficients' :func:`_pauli_weights`, already
-    checked by the caller.
+    Raises as :func:`_checked_weights` does, with ``p`` passed on to it.
     """
+    weights = _checked_weights(n_qubits, c1, c2, c3, p)
     c = np.maximum(np.maximum(np.abs(c1), np.abs(c2)), np.abs(c3))
     f = _binary_entropy_bits((1.0 + c) / 2.0)
     if n_qubits % 2:
@@ -301,8 +304,7 @@ def gqd_pauli_diagonal(params: PauliDiagonalParams) -> float:
     The optimal measurement aligns every qubit with the axis whose
     coefficient has the largest magnitude.
     """
-    w = _checked_weights(params)
-    return float(_pauli_diagonal_bits(params.n_qubits, *params.coefficients(), w))
+    return float(_pauli_diagonal_bits(params.n_qubits, *params.coefficients()))
 
 
 @dataclass(frozen=True)

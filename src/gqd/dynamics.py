@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discord import (
-    InvalidParamsError,
-    PauliDiagonalParams,
-    _checked_weights,
-    _in_bounds,
-    _pauli_diagonal_bits,
-    _pauli_weights,
-    _report,
-)
+from .discord import PauliDiagonalParams, _checked_weights, _pauli_diagonal_bits
 from .qcore import DensityMatrix, PAULI_Z, apply_single_qubit_operators
 
 __all__ = [
@@ -69,7 +61,7 @@ def dephase_pauli_params(params: PauliDiagonalParams, p: float) -> PauliDiagonal
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    _checked_weights(params)
+    _checked_weights(params.n_qubits, *params.coefficients())
     factor = 1.0 - p
     return PauliDiagonalParams(
         params.n_qubits, params.c1 * factor, params.c2 * factor, params.c3
@@ -82,7 +74,7 @@ def sudden_transition_point(params: PauliDiagonalParams) -> float | None:
     Exists only when ``0 < |c3| < max(|c1|, |c2|)`` strictly; returns None
     otherwise (including ties, where the curve has no interior kink).
     """
-    _checked_weights(params)
+    _checked_weights(params.n_qubits, *params.coefficients())
     transverse = max(abs(params.c1), abs(params.c2))
     longitudinal = abs(params.c3)
     if 0.0 < longitudinal < transverse:
@@ -254,8 +246,8 @@ def scan_gqd_vs_p(
     median), and flat plateaus (windows of at least three points spanning at
     most 1e-7). The grid is evaluated as one array. Raises ValueError unless
     it is 1-D with at least three finite, strictly increasing points in
-    [0, 1], and InvalidParamsError naming the first ``p`` whose dephased
-    coefficients are not a positive state.
+    [0, 1]. Dephased coefficients that are not a positive state raise the
+    error of :func:`gqd.pauli_diagonal_state`, naming the first such ``p``.
     """
     grid = np.array(p_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
@@ -266,19 +258,10 @@ def scan_gqd_vs_p(
         raise ValueError("p_grid must increase strictly within [0, 1]")
     predicted = sudden_transition_point(params)
 
-    n = params.n_qubits
     factor = 1.0 - grid
     c1_p, c2_p = params.c1 * factor, params.c2 * factor
     c3_p = np.full_like(grid, params.c3)
-    weights = _pauli_weights(n, c1_p, c2_p, c3_p)
-    bad = np.flatnonzero(~_in_bounds(weights).all(axis=-1))
-    if bad.size:
-        i = bad[0]
-        raise InvalidParamsError(
-            f"pauli-diagonal coefficients invalid at p = {float(grid[i])!r}: "
-            f"{_report(n, weights[i]).failure_message()}"
-        )
-    gqd_vals = np.maximum(_pauli_diagonal_bits(n, c1_p, c2_p, c3_p, weights), 0.0)
+    gqd_vals = np.maximum(_pauli_diagonal_bits(params.n_qubits, c1_p, c2_p, c3_p, grid), 0.0)
     code = _active_branches(params, factor)
     report = ScanReport(
         predicted_transition_p=predicted,

@@ -69,8 +69,10 @@ class TestStateDocuments:
             StateDocument("dense", 2, matrix=random_density_matrix(2, np.random.default_rng(99)).matrix),
             StateDocument("werner_ghz", 3, mu=0.1),
             StateDocument("pauli_diagonal", 4, coefficients=(0.1, -0.2, 1.0 / 3.0)),
+            # Signed zeros in both parts, the imaginary -0.0 included.
+            StateDocument("dense", 1, matrix=np.array([[0.5, -0j], [-0.0, 0.5]])),
         ],
-        ids=lambda doc: doc.kind,
+        ids=["dense", "werner_ghz", "pauli_diagonal", "dense-signed-zeros"],
     )
     def test_round_trip_gives_back_every_field(self, tmp_path, doc):
         path = tmp_path / "doc.json"
@@ -700,6 +702,20 @@ class TestVerify:
                 monkeypatch.setattr(checks, name, forbidden)
         with pytest.raises(ValueError, match=r"scope must be one of .*, got 'everything'"):
             run_checks(scope="everything")
+
+    def test_every_check_has_a_declared_benchmark_metric(self):
+        # The traced benchmark times each check_* function as
+        # checks.<name>_s and exits with an error on a metric it does not
+        # declare, so a new check function needs a benchmark change too.
+        from gqd import checks
+
+        spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+        declared = {
+            m["name"] for m in spec["per_layer"]
+            if m["name"].startswith("checks.") and m["name"].endswith("_s")
+        }
+        timed = {f"checks.{n[len('check_'):]}_s" for n in dir(checks) if n.startswith("check_")}
+        assert declared and timed == declared
 
     def test_theorem_scope_passes(self, capsys):
         # reduced trial count: the full default is exercised manually, this

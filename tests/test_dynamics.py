@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqd.checks import random_valid_pauli_params
+from gqd.cli import EXIT_INVALID_INPUT, main
 from gqd.discord import (
     InvalidParamsError,
     PauliDiagonalParams,
@@ -233,20 +234,41 @@ class TestScan:
                 assert r.gqd == max(gqd_pauli_diagonal(evolved), 0.0), (params, p)
 
     def test_names_the_first_dephased_point_that_is_not_positive(self, monkeypatch):
-        from gqd import dynamics
+        from gqd import discord
 
         # Dephasing keeps a state positive, so a negative weight is planted
-        # at the fourth grid point.
-        weights_of = dynamics._pauli_weights
+        # at the fourth grid point. Only the grid's weights are 2-D; the
+        # scalar check of the undamped state is left alone.
+        weights_of = discord._pauli_weights
 
         def planted(*args):
             weights = weights_of(*args)
-            weights[3, 0] = -0.5
+            if weights.ndim == 2:
+                weights[3, 0] = -0.5
             return weights
 
-        monkeypatch.setattr(dynamics, "_pauli_weights", planted)
+        monkeypatch.setattr(discord, "_pauli_weights", planted)
         with pytest.raises(InvalidParamsError, match=r"at p = 0\.3.*: lambda1 = -0\.5 "):
             scan_gqd_vs_p(PauliDiagonalParams(2, 0.5, 0.1, 0.2), np.linspace(0.0, 1.0, 11))
+
+    def test_every_entry_point_gives_one_message(self, tmp_path, capsys):
+        params = PauliDiagonalParams(2, 0.8, 0.2, 0.3)
+        message = "pauli-diagonal coefficients invalid: lambda4 = -0.075 out of range [0, 1]"
+        for entry in (
+            gqd_pauli_diagonal,
+            pauli_diagonal_state,
+            sudden_transition_point,
+            lambda q: dephase_pauli_params(q, 0.5),
+            lambda q: scan_gqd_vs_p(q, np.linspace(0.0, 1.0, 11)),
+        ):
+            with pytest.raises(InvalidParamsError) as exc:
+                entry(params)
+            assert str(exc.value) == message
+        code = main([
+            "dephase-scan", "--n", "2", "--c1", "0.8", "--c2", "0.2", "--c3", "0.3",
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert (code, capsys.readouterr().err) == (EXIT_INVALID_INPUT, f"error: {message}\n")
 
     def test_grid_validation(self):
         params = PauliDiagonalParams(2, 0.5, 0.1, 0.2)
