@@ -16,13 +16,12 @@ forms, implemented here next to the generic optimizer:
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lbfgs import StackedResult, minimize_stacked
+from .lbfgs import minimize_stacked
 from .measurement import LocalMeasurement, _AXES, _bloch_vectors, _entropy_objective, _pauli_coefficients
 from .qcore import (
     BlochVector,
@@ -314,15 +313,19 @@ class OptimizerOptions:
     All starts are refined by stacked L-BFGS (:mod:`gqd.lbfgs`) on one
     unconstrained 3-vector per qubit; each start keeps its own memory, line
     search and stopping tests. ``starts`` (1 to :data:`MAX_STARTS`) defaults
-    to ``8 * n_qubits``: the three fixed axis starts (z, x, y on every
-    qubit) plus seeded random directions. ``max_evals_per_start`` (at least
-    1) caps the value-and-gradient evaluations of one start (L-BFGS-B
-    ``maxfun``: checked when an iteration ends), and ``f_tol`` (finite and
-    at least 0) is its relative-decrease stopping tolerance (L-BFGS-B
-    ``ftol``). ``threads`` (at least 1) runs the starts in that many chunks
-    on a thread pool, capped by the number of starts and of CPUs; the result
-    does not depend on it. ``seed`` (at least 0) seeds the random starts.
-    Every field but ``f_tol`` is a plain ``int``. Construction raises
+    to ``8 * n_qubits``: the correlation-tensor start, the three fixed axis
+    starts (z, x, y on every qubit), then seeded random directions. It is a
+    cap: the stack stops early once the finished starts pass the stopping
+    rule of :func:`_found_every_minimum`, which needs at least 8 of them.
+    ``max_evals_per_start`` (at least 1) caps the value-and-gradient
+    evaluations of one start (L-BFGS-B ``maxfun``: checked when an iteration
+    ends), and ``f_tol`` (finite and at least 0) is its relative-decrease
+    stopping tolerance (L-BFGS-B ``ftol``). ``threads`` (at least 1) maps
+    the parts that an objective call is cut into (see
+    :func:`gqd.measurement._entropy_objective`) over a thread pool of
+    ``min(threads, parts, CPUs)`` workers; the result does not depend on
+    it. ``seed`` (at least 0) seeds the random starts. Every field but
+    ``f_tol`` is a plain ``int``. Construction raises
     :class:`InvalidParamsError` for a value of another type or out of these
     ranges.
     """
@@ -367,14 +370,18 @@ class OptimizerOptions:
 class OptimizerDiagnostics:
     """Totals over the starts, and a certificate for the reported optimum.
 
-    ``starts_agreeing`` counts the starts whose final value lies within 1e-6
-    of the best. ``grad_norm`` is the largest per-qubit norm of the tangent
-    (Riemannian) gradient at the optimum; ``converged`` is the winning
-    start's stopping flag. Every numeric result, ``I / d`` included, comes
-    from a solve, so ``1 <= starts_agreeing <= starts <= evaluations``.
+    ``starts_finished`` counts the starts that ran to their own stop; the
+    others were ended by the stopping rule. The best value is taken over
+    the finished starts, and ``starts_agreeing`` counts those whose final
+    value lies within 1e-6 of it. ``grad_norm`` is the largest per-qubit
+    norm of the tangent (Riemannian) gradient at the optimum; ``converged``
+    is the winning start's stopping flag. Every numeric result, ``I / d``
+    included, comes from a solve, so
+    ``1 <= starts_agreeing <= starts_finished <= starts <= evaluations``.
     """
 
     starts: int
+    starts_finished: int
     iterations: int
     evaluations: int
     starts_agreeing: int
@@ -407,11 +414,27 @@ _GRAD_TOL = 1e-7
 _AGREE_TOL = 1e-6
 
 
-def _start_points(n: int, opts: OptimizerOptions) -> list[np.ndarray]:
-    """Stacked direction vectors ``[v_0, v_1, ...]`` of every start."""
+def _correlation_start(coeffs: np.ndarray) -> np.ndarray:
+    """Per qubit j, the top eigenvector of ``G_j = M_j M_j^T``, where ``M_j``
+    is rows 1-3 of the Pauli tensor T with axis j moved first, reshaped to
+    3 x 4^(N-1): the direction that carries most of qubit j's correlations
+    and Bloch vector. z where ``G_j`` is zero, as at ``I / 2^N``."""
+    directions = []
+    for j in range(coeffs.ndim):
+        m = np.moveaxis(coeffs, j, 0)[1:].reshape(3, -1)
+        g = m @ m.T
+        directions.append(np.linalg.eigh(g)[1][:, -1] if g.any() else _AXES["z"])
+    return np.concatenate(directions)
+
+
+def _start_points(coeffs: np.ndarray, opts: OptimizerOptions) -> list[np.ndarray]:
+    """Stacked direction vectors ``[v_0, v_1, ...]`` of every start: the
+    correlation start, z, x and y on every qubit, then seeded random
+    directions."""
+    n = coeffs.ndim
     total = opts.starts if opts.starts is not None else 8 * n
-    axes = ("z", "x", "y")[: min(3, total)]
-    points = [np.tile(_AXES[axis], n) for axis in axes]
+    fixed = [_correlation_start(coeffs)] + [np.tile(_AXES[axis], n) for axis in "zxy"]
+    points = fixed[:total]
     rng = np.random.default_rng(opts.seed)
     while len(points) < total:
         z = rng.uniform(-1.0, 1.0, size=n)
@@ -428,39 +451,50 @@ def _measurement_from(x: np.ndarray) -> LocalMeasurement:
     return m.canonicalized()
 
 
-def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
-    """Minimize from every start; reduce deterministically by (value, index).
+def _found_every_minimum(done: np.ndarray, running: np.ndarray) -> bool:
+    """The Bayesian stopping rule of Boender & Rinnooy Kan (Math. Program. 37
+    (1987) 59) over the final values ``done`` of the converged starts.
 
-    Each of ``min(threads, starts, CPUs)`` contiguous chunks of starts runs
-    as one stacked L-BFGS, on a thread pool when there are several. Returns
-    the per-start result, the index of the best start and the diagnostics,
-    whose ``raw_value`` is ``offset`` plus the best value.
+    With k of them and w distinct minima among them (sorted values more
+    than ``_AGREE_TOL`` apart), the posterior estimate of the number of
+    minima, ``w (k - 1) / (k - w - 2)``, must lie below ``w + 0.5``. A
+    running start whose current value ``running`` lies more than
+    ``_AGREE_TOL`` below the best finished value is headed for a minimum
+    not yet found, so it blocks the stop.
     """
+    k = done.size
+    f = np.sort(done)
+    w = 1 + int(np.count_nonzero(np.diff(f) > _AGREE_TOL))
+    return (
+        k > w + 2
+        and w * (k - 1) / (k - w - 2) < w + 0.5
+        and not np.any(running < f[0] - _AGREE_TOL)
+    )
 
-    def run(x0):
-        return minimize_stacked(fun, x0, opts.max_evals_per_start, opts.f_tol, _GRAD_TOL)
 
-    stack = np.array(points, dtype=float)
-    chunks = np.array_split(stack, min(opts.threads, len(stack), os.cpu_count() or 1))
-    if len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
+    """Minimize from every start as one stacked L-BFGS, stopped early by
+    :func:`_found_every_minimum`; reduce deterministically by (value, index)
+    over the finished starts.
 
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = list(map(run, chunks))
-    # Each field, concatenated over the chunks in order.
-    res = StackedResult(*map(np.concatenate, zip(*(vars(p).values() for p in parts))))
-
-    best = int(np.argmin(res.fun))
+    Returns the per-start result, the index of the best start and the
+    diagnostics, whose ``raw_value`` is ``offset`` plus the best value.
+    """
+    res = minimize_stacked(
+        fun, np.array(points, dtype=float), opts.max_evals_per_start, opts.f_tol, _GRAD_TOL,
+        _found_every_minimum,
+    )
+    best = int(np.argmin(np.where(res.finished, res.fun, np.inf)))
     # The tangent gradient is |v_j| times the gradient in v_j.
     v, jac = res.x[best].reshape(-1, 3), res.jac[best].reshape(-1, 3)
     grad_norm = np.sqrt((v * v).sum(axis=1) * (jac * jac).sum(axis=1)).max()
+    agreeing = res.finished & (res.fun <= res.fun[best] + _AGREE_TOL)
     diag = OptimizerDiagnostics(
-        starts=len(stack),
+        starts=len(points),
+        starts_finished=int(np.count_nonzero(res.finished)),
         iterations=int(res.nit.sum()),
         evaluations=int(res.nfev.sum()),
-        starts_agreeing=int(np.sum(res.fun <= res.fun[best] + _AGREE_TOL)),
+        starts_agreeing=int(np.count_nonzero(agreeing)),
         grad_norm=float(grad_norm),
         seed=opts.seed,
         raw_value=offset + float(res.fun[best]),
@@ -488,9 +522,8 @@ def _solve(
     """The numeric routes' shared tail, one solve for every state, ``I / d``
     included: ``I(rho)`` plus the best start's ``H(q) - sum_j H(q_j)``, from
     the state's real Pauli tensor."""
-    n = rho.n_qubits
-    fun = _entropy_objective(coeffs)
-    res, best, diag = _run_starts(fun, _start_points(n, opts), opts, mutual_information(rho))
+    fun = _entropy_objective(coeffs, opts.threads)
+    res, best, diag = _run_starts(fun, _start_points(coeffs, opts), opts, mutual_information(rho))
     measurement = _measurement_from(res.x[best])
     return GqdResult(max(diag.raw_value, 0.0), method, measurement, diag)
 
@@ -502,7 +535,7 @@ def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> Gqd
     (measured along ``v_j / |v_j|``, which has no poles) and refines all
     starts with one stacked L-BFGS. Each evaluation returns the objective
     and its exact gradient from one O(4^N) contraction. Deterministic for a
-    fixed ``opts.seed`` regardless of how the starts are scheduled.
+    fixed ``opts.seed``, and the same for every ``opts.threads``.
     """
     opts = opts or OptimizerOptions()
     _check_numeric_size(rho.n_qubits, opts)

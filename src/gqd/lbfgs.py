@@ -11,7 +11,8 @@ Each call of the objective evaluates every row that is still running, at
 whatever trial step its own line search has reached, so the Python cost of
 a call is shared by the whole stack. Rows leave the stack as they stop.
 Every operation is row-wise, so a row's arithmetic, and hence its result,
-does not depend on which other rows share its stack.
+does not depend on which other rows share its stack. A caller may also end
+the whole stack early, from the values of the rows that have stopped.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ class StackedResult:
     gradient; ``nit`` counts accepted steps and ``nfev`` evaluations.
     ``converged`` is true when a row stopped on the gradient or the
     relative-decrease tolerance, false when it hit the evaluation cap, its
-    line search failed or a MINPACK-2 warning ended the search at step 0.
+    line search failed, a MINPACK-2 warning ended the search at step 0 or
+    the caller's rule ended the stack. ``finished`` is false only for the
+    rows that the caller's rule ended.
     """
 
     x: np.ndarray
@@ -54,9 +57,12 @@ class StackedResult:
     nit: np.ndarray
     nfev: np.ndarray
     converged: np.ndarray
+    finished: np.ndarray
 
 
-def minimize_stacked(fun, x0, max_evals: int, f_tol: float, g_tol: float) -> StackedResult:
+def minimize_stacked(
+    fun, x0, max_evals: int, f_tol: float, g_tol: float, enough=None
+) -> StackedResult:
     """Minimize from every row of ``x0`` with the stacked L-BFGS iteration.
 
     ``fun(X)`` maps an ``(R, D)`` stack of points to the values ``(R,)`` and
@@ -66,6 +72,12 @@ def minimize_stacked(fun, x0, max_evals: int, f_tol: float, g_tol: float) -> Sta
     iteration ends with more than ``max_evals`` evaluations, when its line
     search fails with an empty memory, or when a MINPACK-2 warning ends the
     search at step 0, as after an infinite value at the first trial.
+
+    ``enough(done, running)``, if given, may end the whole stack. After
+    every call in which a row stops, it gets the values of the rows that
+    stopped converged and the current values of the rows still running.
+    When it returns true, the running rows stop where they are, unconverged
+    and unfinished. Without it every row runs to its own stop.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -76,6 +88,7 @@ def minimize_stacked(fun, x0, max_evals: int, f_tol: float, g_tol: float) -> Sta
         nit=np.zeros(len(x), dtype=int),
         nfev=np.ones(len(x), dtype=int),
         converged=np.abs(g).max(axis=1) <= g_tol,
+        finished=np.ones(len(x), dtype=bool),
     )
     runs = _Runs(np.flatnonzero(~out.converged), out)
     stuck = runs.start_search(np.ones(runs.rows.size, dtype=bool))
@@ -84,7 +97,10 @@ def minimize_stacked(fun, x0, max_evals: int, f_tol: float, g_tol: float) -> Sta
     with np.errstate(divide="ignore"):  # d = 0 only on stuck rows
         runs.stp = np.minimum(1.0 / np.sqrt((runs.d * runs.d).sum(axis=1)), _STPMAX)
     runs.retire(stuck, np.zeros_like(stuck), out)
+    stopped = runs.rows.size < len(x)
     while runs.rows.size:
+        if stopped and enough is not None and runs.cut(enough, out):
+            break
         x_trial = runs.x + runs.stp[:, None] * runs.d
         f_trial, g_trial = fun(x_trial)
         runs.nfev += 1
@@ -104,7 +120,7 @@ def minimize_stacked(fun, x0, max_evals: int, f_tol: float, g_tol: float) -> Sta
             runs.forget(failed[~fresh])
             ended[failed] = True
         stop |= runs.start_search(ended & ~stop)
-        runs.retire(stop, converged, out)
+        stopped = runs.retire(stop, converged, out)
     return out
 
 
@@ -134,10 +150,13 @@ class _Runs:
         self.ls = np.zeros((n, 3))
         self.search = np.empty(n, dtype=object)
 
-    def retire(self, stop: np.ndarray, converged: np.ndarray, out: StackedResult) -> None:
-        """Write the stopped rows to ``out`` and drop them from the stack."""
+    def retire(self, stop: np.ndarray, converged: np.ndarray, out: StackedResult) -> bool:
+        """Write the stopped rows to ``out`` and drop them from the stack.
+
+        Returns whether any row stopped.
+        """
         if not np.count_nonzero(stop):
-            return
+            return False
         rows = self.rows[stop]
         out.x[rows], out.fun[rows], out.jac[rows] = self.x[stop], self.f[stop], self.g[stop]
         out.nit[rows], out.nfev[rows] = self.nit[stop], self.nfev[stop]
@@ -145,6 +164,21 @@ class _Runs:
         keep = np.flatnonzero(~stop)
         for name, value in vars(self).items():
             setattr(self, name, value[keep])
+        return True
+
+    def cut(self, enough, out: StackedResult) -> bool:
+        """Stop every running row, unconverged and unfinished, if ``enough``
+        holds; returns whether it did.
+
+        A row in the stack is not converged in ``out``, so ``out.converged``
+        marks exactly the rows that stopped converged.
+        """
+        if not enough(out.fun[out.converged], self.f):
+            return False
+        out.finished[self.rows] = False
+        none = np.zeros(self.rows.size, dtype=bool)
+        self.retire(~none, none, out)
+        return True
 
     def forget(self, idx: np.ndarray) -> None:
         for mem in (self.pairs, self.sy_mem, self.yy_mem, self.r_inv):

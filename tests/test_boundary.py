@@ -154,9 +154,10 @@ def assert_compute_output(code, out, err):
         assert_finite([v for v in diag.values() if not isinstance(v, bool)])
         if diag:
             # Evidence for the minimum, I/2^N included.
-            assert diag["starts"] >= 1
-            assert 1 <= diag["starts_agreeing"] <= diag["starts"]
-            assert diag["evaluations"] >= diag["starts"]
+            assert (
+                1 <= diag["starts_agreeing"] <= diag["starts_finished"]
+                <= diag["starts"] <= diag["evaluations"]
+            )
 
 
 @settings(SETTINGS, max_examples=300)

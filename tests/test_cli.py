@@ -207,7 +207,7 @@ class TestCompute:
         assert len(record["optimal_measurement"]) == 2
         assert record["diagnostics"]["evaluations"] > 0
         diag = record["diagnostics"]
-        assert 1 <= diag["starts_agreeing"] <= diag["starts"]
+        assert 1 <= diag["starts_agreeing"] <= diag["starts_finished"] <= diag["starts"] <= diag["evaluations"]
         assert 0.0 <= diag["grad_norm"] <= 1e-6
         assert "best_objective_history_length" not in diag
         assert record["wall_time_s"] >= 0.0

@@ -20,7 +20,10 @@ from gqd.discord import (
     PauliDiagonalParams,
     QubitLimitError,
     WernerGhzParams,
+    _AGREE_TOL,
     _GRAD_TOL,
+    _correlation_start,
+    _found_every_minimum,
     _pauli_weights,
     _run_starts,
     _start_points,
@@ -33,7 +36,9 @@ from gqd.discord import (
     validate_pauli_params,
     werner_ghz_state,
 )
+from gqd.lbfgs import StackedResult, minimize_stacked
 from gqd.measurement import (
+    _AXES,
     LocalMeasurement,
     _entropy_objective,
     _pauli_coefficients,
@@ -418,9 +423,14 @@ class TestNumericOptimizer:
             assert abs(z_obj - gqd_werner_ghz(WernerGhzParams(n, mu))) <= 1e-9
 
 
-def objective(rho: DensityMatrix):
+def coefficients(rho: DensityMatrix) -> np.ndarray:
+    """The real Pauli tensor of ``rho``, as a solve takes it."""
+    return _pauli_coefficients(rho.matrix).real
+
+
+def objective(rho: DensityMatrix, threads: int = 1):
     """The optimizer's stacked objective for ``rho``."""
-    return _entropy_objective(_pauli_coefficients(rho.matrix).real)
+    return _entropy_objective(coefficients(rho), threads)
 
 
 def single(fun):
@@ -446,10 +456,10 @@ class TestObjectiveGradient:
     def test_matches_central_differences(self, n):
         rng = np.random.default_rng(RNG_SEED + n)
         rho = random_density_matrix(n, rng)
-        # The three axis starts, the south pole on every qubit, and an
-        # unnormalized random point with both signs of z.
-        points = _start_points(n, OptimizerOptions(starts=3))
-        points += [-points[0], rng.normal(size=3 * n)]
+        # The correlation start, the three axis starts, the south pole on
+        # every qubit, and an unnormalized random point with both signs of z.
+        points = _start_points(coefficients(rho), OptimizerOptions(starts=4))
+        points += [-points[1], rng.normal(size=3 * n)]
         fun = single(objective(rho))
         for x in points:
             _, grad = fun(x)
@@ -469,7 +479,7 @@ class TestObjectiveGradient:
     def test_finite_on_pure_ghz_where_outcomes_vanish(self, n):
         rho = werner_ghz_state(WernerGhzParams(n, 1.0))
         rng = np.random.default_rng(RNG_SEED)
-        points = _start_points(n, OptimizerOptions(starts=3))
+        points = _start_points(coefficients(rho), OptimizerOptions(starts=4))
         points.append(rng.normal(size=3 * n))
         fun = single(objective(rho))
         for x in points:
@@ -583,56 +593,83 @@ class TestOptimizerOptions:
         assert OptimizerOptions(starts=MAX_STARTS).starts == MAX_STARTS
 
 
+def rotated(rho: DensityMatrix, rng: np.random.Generator) -> DensityMatrix:
+    """``rho`` under a random local unitary, one factor per qubit."""
+    u = np.ones((1, 1))
+    for _ in range(rho.n_qubits):
+        u = np.kron(u, random_unitary(2, rng))
+    m = u @ rho.matrix @ u.conj().T
+    return DensityMatrix((m + m.conj().T) / 2)
+
+
 def rotated_family_state(n: int, rng: np.random.Generator) -> DensityMatrix:
     """A GHZ-noise or Pauli-diagonal state under a random local unitary."""
     if rng.integers(2):
         rho = werner_ghz_state(WernerGhzParams(n, float(rng.uniform(0.0, 1.0))))
     else:
         rho = pauli_diagonal_state(random_valid_pauli_params(n, rng))
-    u = random_unitary(2, rng)
-    for _ in range(n - 1):
-        u = np.kron(u, random_unitary(2, rng))
-    m = u @ rho.matrix @ u.conj().T
-    return DensityMatrix((m + m.conj().T) / 2)
+    return rotated(rho, rng)
+
+
+FIELDS = [f.name for f in dataclasses.fields(StackedResult)]
 
 
 def assert_same_starts(a, b):
-    for field in ("x", "fun", "jac", "nit", "nfev", "converged"):
+    for field in FIELDS:
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def without_rule(fun, points, opts: OptimizerOptions) -> StackedResult:
+    """Every start of ``points`` run to its own stop, as one stack."""
+    return minimize_stacked(
+        fun, np.array(points, dtype=float), opts.max_evals_per_start, opts.f_tol, _GRAD_TOL
+    )
+
+
+def counting(fun, calls: list):
+    """``fun``, appending the stack height of every call to ``calls``."""
+
+    def counted(x):
+        calls.append(len(x))
+        return fun(x)
+
+    return counted
 
 
 class TestStackedStarts:
     """All starts run as one stacked L-BFGS; each start stays its own run."""
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_each_start_is_independent_of_its_stack(self, n, monkeypatch):
-        # Per-start results are bit-identical whether the starts run
-        # stacked, one at a time, or split over a four-thread pool, on a
-        # host of any CPU count.
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    def test_each_start_is_independent_of_its_stack(self, n):
+        # Without the stopping rule every start is bit-identical whether the
+        # starts run stacked or one at a time; with it, so is every start
+        # that the rule did not cut.
         rng = np.random.default_rng(RNG_SEED + 40 + n)
         rho = random_density_matrix(n, rng)
         fun = objective(rho)
-        opts = OptimizerOptions(seed=11, threads=1)
-        points = _start_points(n, opts)
-        stacked, _, _ = _run_starts(fun, points, opts, offset=0.0)
-        pooled, _, _ = _run_starts(
-            fun, points, OptimizerOptions(seed=11, threads=4), offset=0.0
-        )
-        assert_same_starts(stacked, pooled)
+        opts = OptimizerOptions(seed=11)
+        points = _start_points(coefficients(rho), opts)
+        stacked = without_rule(fun, points, opts)
+        ruled, _, _ = _run_starts(fun, points, opts, offset=0.0)
+        assert stacked.finished.all() and not ruled.finished.all()
         for k, x0 in enumerate(points):
-            alone, _, _ = _run_starts(fun, [x0], opts, offset=0.0)
-            for field in ("x", "fun", "jac", "nit", "nfev", "converged"):
+            alone = without_rule(fun, [x0], opts)
+            for field in FIELDS:
                 assert np.array_equal(getattr(alone, field)[0], getattr(stacked, field)[k]), (k, field)
+                if ruled.finished[k]:
+                    assert np.array_equal(getattr(alone, field)[0], getattr(ruled, field)[k]), (k, field)
 
     @pytest.mark.parametrize(
-        "threads, starts, cpus, workers",
-        [(1, 8, 2, None), (8, 8, 2, 2), (8, 3, 8, 3), (8, 8, None, None)],
+        "n, threads, cpus, workers",
+        [(8, 1, 4, None), (8, 4, 2, 2), (8, 4, 8, 3), (8, 4, None, None), (7, 4, 8, None)],
     )
     def test_pool_is_capped_by_the_starts_and_the_cpus(
-        self, monkeypatch, threads, starts, cpus, workers
+        self, monkeypatch, n, threads, cpus, workers
     ):
-        # One chunk runs without a pool; an unknown CPU count means one.
+        # An objective call at N = 8 cuts its stack into parts of one start,
+        # so three starts make three parts; at N = 7 a part holds four. The
+        # pool has min(threads, parts, CPUs) workers, and none for one; an
+        # unknown CPU count means one. It shrinks as starts stop.
         from concurrent import futures
 
         seen = []
@@ -644,16 +681,20 @@ class TestStackedStarts:
 
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(futures, "ThreadPoolExecutor", Spy)
-        rho = random_density_matrix(2, np.random.default_rng(RNG_SEED + 70))
-        got = gqd_numeric(rho, OptimizerOptions(seed=1, starts=starts, threads=threads))
-        assert seen == ([] if workers is None else [workers])
-        assert got == gqd_numeric(rho, OptimizerOptions(seed=1, starts=starts))
+        rho = random_density_matrix(n, np.random.default_rng(RNG_SEED + 70))
+        opts = OptimizerOptions(seed=1, starts=3, max_evals_per_start=5, threads=threads)
+        got = gqd_numeric(rho, opts)
+        if workers is None:
+            assert seen == []
+        else:
+            assert seen[0] == max(seen) == workers and min(seen) >= 2
+        assert got == gqd_numeric(rho, dataclasses.replace(opts, threads=1))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_objective_rows_do_not_depend_on_their_stack(self, n):
         rng = np.random.default_rng(RNG_SEED + 60 + n)
         rho = random_density_matrix(n, rng)
-        x = np.concatenate([np.array(_start_points(n, OptimizerOptions(starts=5))),
+        x = np.concatenate([np.array(_start_points(coefficients(rho), OptimizerOptions(starts=5))),
                             rng.normal(size=(4, 3 * n))])
         fun = objective(rho)
         values, grads = fun(x)
@@ -669,7 +710,7 @@ class TestStackedStarts:
         rng = np.random.default_rng(RNG_SEED + 8)
         rho = random_density_matrix(n, rng)
         opts = OptimizerOptions(seed=2, starts=5, max_evals_per_start=25)
-        points = _start_points(n, opts)
+        points = _start_points(coefficients(rho), opts)
         results = []
         for budget in (4**n, 2 * 4**n, 2**40):
             monkeypatch.setattr(measurement, "_KERNEL_ENTRIES", budget)
@@ -693,7 +734,7 @@ class TestStackedStarts:
             opts = OptimizerOptions(seed=n, starts=8 if n <= 3 else 4)
             for rho in (random_density_matrix(n, rng), rotated_family_state(n, rng)):
                 fun = objective(rho)
-                points = _start_points(n, opts)
+                points = _start_points(coefficients(rho), opts)
                 res, best, diag = _run_starts(fun, points, opts, offset=0.0)
                 refs = [
                     optimize.minimize(
@@ -715,6 +756,139 @@ class TestStackedStarts:
         assert not res.diagnostics.converged
         # The cap is checked when an iteration ends, as in L-BFGS-B.
         assert 4 * 3 < res.diagnostics.evaluations <= 4 * (3 + 20)
+
+
+# Two wells in the first coordinate, about 2 apart at the bottom, plus a
+# Rosenbrock valley in the other two, which is slow to descend from
+# (0.3, 0.09) and solved at (1, 1).
+def two_wells(x):
+    a, b, c = x.T
+    value = 10.0 * ((a**2 - 1.0) ** 2 + 0.1 * a) + 100.0 * (c - b**2) ** 2 + (1.0 - b) ** 2
+    grad = np.stack([
+        10.0 * (4.0 * a * (a**2 - 1.0) + 0.1),
+        -400.0 * b * (c - b**2) - 2.0 * (1.0 - b),
+        200.0 * (c - b**2),
+    ], axis=1)
+    return value, grad
+
+
+class TestStoppingRule:
+    """The stack stops once the finished starts have found every minimum."""
+
+    @pytest.mark.parametrize(
+        "done, running, stops",
+        [
+            ([0.0] * 8, [1.0], True),
+            ([0.0] * 7, [1.0], False),
+            ([0.0] * 8, [-2 * _AGREE_TOL], False),
+            ([0.0] * 8, [-_AGREE_TOL / 2], True),
+            ([0.0] * 8, [], True),
+            ([0.0] * 8 + [1.0] * 8, [], False),
+            ([0.0] * 9 + [1.0] * 8, [], True),
+            ([0.0, 0.9 * _AGREE_TOL, 1.8 * _AGREE_TOL] * 3, [], True),
+            ([], [1.0], False),
+        ],
+        ids=["one-minimum-8", "one-minimum-7", "guard", "guard-within-tol",
+             "none-running", "two-minima-16", "two-minima-17", "chained-within-tol",
+             "none-done"],
+    )
+    def test_rule(self, done, running, stops):
+        # One minimum needs 8 finished starts, two need 17: the least k with
+        # w (k - 1) / (k - w - 2) < w + 0.5.
+        assert _found_every_minimum(np.array(done), np.array(running)) is stops
+
+    def test_default_solve_stops_the_stack_early(self):
+        rho = random_density_matrix(2, np.random.default_rng(RNG_SEED + 80))
+        opts = OptimizerOptions(seed=4)
+        points = _start_points(coefficients(rho), opts)
+        ruled_calls, free_calls = [], []
+        res, best, diag = _run_starts(counting(objective(rho), ruled_calls), points, opts, offset=0.0)
+        free = without_rule(counting(objective(rho), free_calls), points, opts)
+        assert diag.starts == 16 and 8 <= diag.starts_finished < 16
+        assert res.finished.sum() == diag.starts_finished
+        assert not res.converged[~res.finished].any()
+        assert len(ruled_calls) < len(free_calls)
+        assert abs(diag.raw_value - free.fun.min()) <= 1e-12
+        assert diag.converged and 1 <= diag.starts_agreeing <= diag.starts_finished
+
+    @pytest.mark.parametrize("n, starts", [(2, 7), (3, 7), (3, 4)])
+    def test_fewer_than_eight_starts_run_every_start(self, n, starts):
+        rho = random_density_matrix(n, np.random.default_rng(RNG_SEED + 90 + n))
+        fun = objective(rho)
+        opts = OptimizerOptions(seed=5, starts=starts)
+        points = _start_points(coefficients(rho), opts)
+        res, best, diag = _run_starts(fun, points, opts, offset=0.0)
+        assert_same_starts(res, without_rule(fun, points, opts))
+        assert diag.starts_finished == diag.starts == starts
+
+    def test_a_running_start_below_the_finished_minimum_blocks_the_stop(self):
+        # Nine starts in the shallow well at a = 1 converge within 8
+        # evaluations. The one start in the deep well at a = -1 is still
+        # descending the valley then, already below them, and finishes
+        # after 25: the rule must wait for it.
+        points = [np.array([s, 1.0, 1.0]) for s in (0.9, 1.1, 0.95, 1.05, 0.85, 1.15, 0.8, 1.2, 1.02)]
+        points.append(np.array([-1.0, 0.3, 0.09]))
+        res, best, diag = _run_starts(two_wells, points, OptimizerOptions(), offset=0.0)
+        assert best == 9 and res.x[best, 0] < 0.0
+        assert diag.starts_finished == 10 and diag.starts_agreeing == 1
+        assert diag.raw_value == res.fun.min() < -1.0
+
+    def test_thread_count_does_not_change_a_cut_stack(self, monkeypatch):
+        # At N = 8 every start is its own part of a call, so the pool runs
+        # the starts of one stack, which the rule then cuts.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        rho = rotated(werner_ghz_state(WernerGhzParams(8, 0.9)), np.random.default_rng(5))
+        results = [
+            gqd_numeric(rho, OptimizerOptions(seed=2, starts=10, max_evals_per_start=20, threads=t))
+            for t in (1, 2, 4)
+        ]
+        assert results[0].diagnostics.starts_finished < 10
+        assert results[1] == results[0] and results[2] == results[0]
+
+
+class TestCorrelationStart:
+    def test_start_order(self):
+        rho = random_density_matrix(3, np.random.default_rng(RNG_SEED + 100))
+        coeffs = coefficients(rho)
+        corr = _correlation_start(coeffs)
+        axes = [np.tile(_AXES[a], 3) for a in "zxy"]
+        three = _start_points(coeffs, OptimizerOptions(starts=3))
+        assert all(np.array_equal(a, b) for a, b in zip(three, [corr, *axes[:2]]))
+        full = _start_points(coeffs, OptimizerOptions(seed=3))
+        assert len(full) == 24
+        assert all(np.array_equal(a, b) for a, b in zip(full, [corr, *axes]))
+        assert len(_start_points(coeffs, OptimizerOptions(starts=1))) == 1
+
+    def test_is_the_top_eigenvector_of_each_qubits_correlations(self):
+        # G_ab = sum_P tr(rho sigma_a x P) tr(rho sigma_b x P) over the Pauli
+        # strings P of the other qubits, here for qubit 1 of 3, built from
+        # dense traces.
+        rho = random_density_matrix(3, np.random.default_rng(RNG_SEED + 101))
+        paulis = [IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z]
+        g = np.zeros((3, 3))
+        for p, q in itertools.product(paulis, repeat=2):
+            t = [np.trace(rho.matrix @ functools.reduce(np.kron, (p, s, q))).real for s in paulis[1:]]
+            g += np.outer(t, t)
+        top = np.linalg.eigh(g)[1][:, -1]
+        got = _correlation_start(coefficients(rho)).reshape(3, 3)[1]
+        assert abs(abs(got @ top) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_is_z_on_the_maximally_mixed_state(self, n):
+        assert np.array_equal(_correlation_start(coefficients(maximally_mixed(n))), np.tile(_AXES["z"], n))
+
+    def test_reaches_a_rotated_closed_form_that_the_axis_starts_miss(self):
+        # Three axis starts alone end 0.136 bits above the closed form of
+        # this rotated Pauli-diagonal state; with the correlation start
+        # first, three starts reach it.
+        params = PauliDiagonalParams(4, -0.48, -0.4, 0.63)
+        rho = rotated(pauli_diagonal_state(params), np.random.default_rng(7))
+        exact = gqd_pauli_diagonal(params)
+        opts = OptimizerOptions(starts=3)
+        axes = [np.tile(_AXES[a], 4) for a in "zxy"]
+        _, _, axis_diag = _run_starts(objective(rho), axes, opts, mutual_information(rho))
+        assert axis_diag.raw_value - exact > 0.1
+        assert abs(gqd_numeric(rho, opts).value - exact) <= 1e-9
 
 
 class TestMixedMarginalShortcut:
