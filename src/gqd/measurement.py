@@ -17,7 +17,6 @@ rebuilds the pinched matrix from ``q`` and the projectors.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +194,7 @@ def _bloch_vectors(coeffs: np.ndarray) -> np.ndarray:
     return 2.0**n * np.array([coeffs[index] for index in at])
 
 
-def _entropy_objective(coeffs: np.ndarray, threads: int = 1):
+def _entropy_objective(coeffs: np.ndarray):
     """Values and gradients of ``H(q) - sum_j H(q_j)`` over a stack of points.
 
     ``coeffs`` is the state's real Pauli tensor T, taken once per state. Each
@@ -208,11 +207,9 @@ def _entropy_objective(coeffs: np.ndarray, threads: int = 1):
     with ``r_j`` from :func:`_bloch_vectors`. The gradient in ``n_j`` is
     projected onto the tangent plane and divided by ``|v_j|``.
 
-    The stack is cut into parts of at most ``_KERNEL_ENTRIES >> 2N`` rows,
-    which bounds memory by N alone. A call with several parts maps them over
-    a thread pool of ``min(threads, parts, CPUs)`` workers when that is more
-    than one. Every operation is row-wise, so neither the cut nor the pool
-    changes a row's result.
+    The stack is cut into calls of at most ``_KERNEL_ENTRIES >> 2N`` rows,
+    which bounds memory by N alone; every operation is row-wise, so the cut
+    does not change a row's result.
     """
     n = coeffs.ndim
     bloch = _bloch_vectors(coeffs)
@@ -240,16 +237,11 @@ def _entropy_objective(coeffs: np.ndarray, threads: int = 1):
     def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if len(x) <= rows_per_call:
             return value_and_grad(x)
-        parts = [x[i : i + rows_per_call] for i in range(0, len(x), rows_per_call)]
-        workers = min(threads, len(parts), os.cpu_count() or 1)
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                out = list(pool.map(value_and_grad, parts))
-        else:
-            out = list(map(value_and_grad, parts))
-        return np.concatenate([p[0] for p in out]), np.concatenate([p[1] for p in out])
+        parts = [
+            value_and_grad(x[i : i + rows_per_call])
+            for i in range(0, len(x), rows_per_call)
+        ]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
     return fun
 

@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import os
 import re
 
 import numpy as np
@@ -428,9 +427,9 @@ def coefficients(rho: DensityMatrix) -> np.ndarray:
     return _pauli_coefficients(rho.matrix).real
 
 
-def objective(rho: DensityMatrix, threads: int = 1):
+def objective(rho: DensityMatrix):
     """The optimizer's stacked objective for ``rho``."""
-    return _entropy_objective(coefficients(rho), threads)
+    return _entropy_objective(coefficients(rho))
 
 
 def single(fun):
@@ -659,37 +658,6 @@ class TestStackedStarts:
                 if ruled.finished[k]:
                     assert np.array_equal(getattr(alone, field)[0], getattr(ruled, field)[k]), (k, field)
 
-    @pytest.mark.parametrize(
-        "n, threads, cpus, workers",
-        [(8, 1, 4, None), (8, 4, 2, 2), (8, 4, 8, 3), (8, 4, None, None), (7, 4, 8, None)],
-    )
-    def test_pool_is_capped_by_the_starts_and_the_cpus(
-        self, monkeypatch, n, threads, cpus, workers
-    ):
-        # An objective call at N = 8 cuts its stack into parts of one start,
-        # so three starts make three parts; at N = 7 a part holds four. The
-        # pool has min(threads, parts, CPUs) workers, and none for one; an
-        # unknown CPU count means one. It shrinks as starts stop.
-        from concurrent import futures
-
-        seen = []
-
-        class Spy(futures.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                seen.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(futures, "ThreadPoolExecutor", Spy)
-        rho = random_density_matrix(n, np.random.default_rng(RNG_SEED + 70))
-        opts = OptimizerOptions(seed=1, starts=3, max_evals_per_start=5, threads=threads)
-        got = gqd_numeric(rho, opts)
-        if workers is None:
-            assert seen == []
-        else:
-            assert seen[0] == max(seen) == workers and min(seen) >= 2
-        assert got == gqd_numeric(rho, dataclasses.replace(opts, threads=1))
-
     @pytest.mark.parametrize("n", range(2, 8))
     def test_objective_rows_do_not_depend_on_their_stack(self, n):
         rng = np.random.default_rng(RNG_SEED + 60 + n)
@@ -832,18 +800,6 @@ class TestStoppingRule:
         assert best == 9 and res.x[best, 0] < 0.0
         assert diag.starts_finished == 10 and diag.starts_agreeing == 1
         assert diag.raw_value == res.fun.min() < -1.0
-
-    def test_thread_count_does_not_change_a_cut_stack(self, monkeypatch):
-        # At N = 8 every start is its own part of a call, so the pool runs
-        # the starts of one stack, which the rule then cuts.
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        rho = rotated(werner_ghz_state(WernerGhzParams(8, 0.9)), np.random.default_rng(5))
-        results = [
-            gqd_numeric(rho, OptimizerOptions(seed=2, starts=10, max_evals_per_start=20, threads=t))
-            for t in (1, 2, 4)
-        ]
-        assert results[0].diagnostics.starts_finished < 10
-        assert results[1] == results[0] and results[2] == results[0]
 
 
 class TestCorrelationStart:
