@@ -250,11 +250,16 @@ SCOPES = ("lemmas", "theorems", "all")
 def run_checks(scope: str = "all", seed: int = 0, trials: int = 100) -> list[CheckResult]:
     """Run one verification scope and collect the results.
 
-    Raises ValueError, before any check runs, for an unknown scope,
-    ``trials`` outside ``[1, MAX_TRIALS]`` or a negative ``seed``.
+    Raises ValueError, before any check runs, for an unknown scope, a
+    ``trials`` or ``seed`` that is not a plain ``int``, ``trials`` outside
+    ``[1, MAX_TRIALS]`` or a negative ``seed``.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        # A plain type test: bool is an int subclass.
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
     if seed < 0:

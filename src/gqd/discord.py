@@ -16,6 +16,7 @@ forms, implemented here next to the generic optimizer:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -80,6 +81,18 @@ def _check_n_qubits(n) -> None:
         raise InvalidParamsError(f"n_qubits must be >= 2, got {n}")
 
 
+def _check_real(name: str, v) -> None:
+    # numbers.Real admits NumPy's real scalars, and bool as an int subclass.
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InvalidParamsError(f"{name} must be a real number, got {v!r}")
+
+
+def _check_mu(mu) -> None:
+    _check_real("mu", mu)
+    if not 0.0 <= mu <= 1.0:
+        raise InvalidParamsError(f"mu must lie in [0, 1], got {mu!r}")
+
+
 @dataclass(frozen=True)
 class WernerGhzParams:
     """White noise mixed with an N-qubit GHZ projector, weight ``mu``."""
@@ -89,8 +102,7 @@ class WernerGhzParams:
 
     def __post_init__(self):
         _check_n_qubits(self.n_qubits)
-        if not 0.0 <= self.mu <= 1.0:
-            raise InvalidParamsError(f"mu must lie in [0, 1], got {self.mu!r}")
+        _check_mu(self.mu)
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,7 @@ class PauliDiagonalParams:
         _check_n_qubits(self.n_qubits)
         for name in ("c1", "c2", "c3"):
             v = getattr(self, name)
+            _check_real(name, v)
             # The bound first: math.isfinite overflows on an int beyond it.
             if not (abs(v) <= sys.float_info.max and math.isfinite(v)):
                 shown = repr(v) if isinstance(v, float) else "a value beyond the float range"
@@ -261,8 +274,7 @@ def gqd_werner_ghz(params: WernerGhzParams) -> float:
 
 def gqd_werner_ghz_asymptotic(mu: float) -> float:
     """Large-N limit of the GHZ-noise discord: exactly ``mu`` bits."""
-    if not 0.0 <= mu <= 1.0:
-        raise InvalidParamsError(f"mu must lie in [0, 1], got {mu!r}")
+    _check_mu(mu)
     return float(mu)
 
 
@@ -491,8 +503,7 @@ def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
     diagnostics, whose ``raw_value`` is ``offset`` plus the best value.
     """
     res = minimize_stacked(
-        fun, np.array(points, dtype=float), opts.max_evals_per_start, opts.f_tol, _GRAD_TOL,
-        _found_every_minimum,
+        fun, points, opts.max_evals_per_start, opts.f_tol, _GRAD_TOL, _found_every_minimum
     )
     best = int(np.argmin(np.where(res.finished, res.fun, np.inf)))
     # The tangent gradient is |v_j| times the gradient in v_j.

@@ -33,9 +33,6 @@ _LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
 _STPMAX = 1e10
 _MAX_TRIALS = 20
 _EPS = np.finfo(float).eps
-# Columns of the line-search start: the value, the slope and the sufficient-
-# decrease slope at step 0.
-_FINIT, _GINIT, _GTEST = range(3)
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,8 @@ def minimize_stacked(
     every call in which a row stops, it gets the values of the rows that
     stopped converged and the current values of the rows still running.
     When it returns true, the running rows stop where they are, unconverged
-    and unfinished. Without it every row runs to its own stop.
+    and unfinished, before the next call. Without it every row runs to its
+    own stop.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
@@ -99,7 +97,10 @@ def minimize_stacked(
     runs.retire(stuck, np.zeros_like(stuck), out)
     stopped = runs.rows.size < len(x)
     while runs.rows.size:
-        if stopped and enough is not None and runs.cut(enough, out):
+        # A row in the stack is not converged in `out`, so `out.converged`
+        # marks exactly the rows that stopped converged.
+        if stopped and enough is not None and enough(out.fun[out.converged], runs.f):
+            out.finished[runs.rows] = False
             break
         x_trial = runs.x + runs.stp[:, None] * runs.d
         f_trial, g_trial = fun(x_trial)
@@ -109,23 +110,29 @@ def minimize_stacked(
         stop, converged = runs.accept(ended, x_trial, f_trial, g_trial, slope, max_evals, f_tol, g_tol)
         # A search that a warning ended at step 0 left its row in place: the
         # zero decrease passes the f_tol test, but the row has not converged.
-        if stalled:
-            stop[stalled], converged[stalled] = True, False
+        stop |= stalled
+        converged &= ~stalled
         # A failed search leaves the row at its last accepted point. With
         # pairs in memory it restarts along -g; without, it gives up.
-        if failed:
-            failed = np.array(failed)
-            fresh = runs.col[failed] == 0
-            stop[failed[fresh]] = True
-            runs.forget(failed[~fresh])
-            ended[failed] = True
+        if failed.any():
+            fresh = failed & (runs.col == 0)
+            stop |= fresh
+            runs.forget(failed & ~fresh)
+            ended |= failed
         stop |= runs.start_search(ended & ~stop)
         stopped = runs.retire(stop, converged, out)
+    # The rows that `enough` ended, unconverged; none if every row stopped.
+    none = np.zeros(runs.rows.size, dtype=bool)
+    runs.retire(~none, none, out)
     return out
 
 
 class _Runs:
-    """Per-row state of the rows still running, one array entry per row."""
+    """Per-row state of the rows still running, one array entry per row.
+
+    A row's ``f`` changes only when its line search ends and the next one
+    starts, so a search's start value is the row's ``f``.
+    """
 
     def __init__(self, rows: np.ndarray, out: StackedResult):
         self.rows = rows  # indices into the full stack
@@ -144,10 +151,9 @@ class _Runs:
         self.r_inv = np.zeros((n, _MEMORY, _MEMORY))
         self.col = np.zeros(n, dtype=int)
         self.h0 = np.ones(n)
-        # Each line search's start, columns _FINIT, _GINIT and _GTEST, and the
-        # rest of its dcsrch state once a trial has not ended it (else None):
-        # see _next_trial.
-        self.ls = np.zeros((n, 3))
+        # Each line search's slope at step 0, and the rest of its dcsrch
+        # state once a trial has not ended it (else None): see _next_trial.
+        self.ginit = np.zeros(n)
         self.search = np.empty(n, dtype=object)
 
     def retire(self, stop: np.ndarray, converged: np.ndarray, out: StackedResult) -> bool:
@@ -166,25 +172,12 @@ class _Runs:
             setattr(self, name, value[keep])
         return True
 
-    def cut(self, enough, out: StackedResult) -> bool:
-        """Stop every running row, unconverged and unfinished, if ``enough``
-        holds; returns whether it did.
-
-        A row in the stack is not converged in ``out``, so ``out.converged``
-        marks exactly the rows that stopped converged.
-        """
-        if not enough(out.fun[out.converged], self.f):
-            return False
-        out.finished[self.rows] = False
-        none = np.zeros(self.rows.size, dtype=bool)
-        self.retire(~none, none, out)
-        return True
-
-    def forget(self, idx: np.ndarray) -> None:
+    def forget(self, rows: np.ndarray) -> None:
+        """Empty the memory of the rows in the mask ``rows``."""
         for mem in (self.pairs, self.sy_mem, self.yy_mem, self.r_inv):
-            mem[idx] = 0.0
-        self.col[idx] = 0
-        self.h0[idx] = 1.0
+            mem[rows] = 0.0
+        self.col[rows] = 0
+        self.h0[rows] = 1.0
 
     def accept(self, ended, x_trial, f_trial, g_trial, slope, max_evals, f_tol, g_tol):
         """Move the rows whose search ended to their trial points.
@@ -202,7 +195,7 @@ class _Runs:
         stop = capped | converged
         go_on = ended & ~stop
         if np.count_nonzero(go_on):
-            stp, ginit = self.stp, self.ls[:, _GINIT]
+            stp, ginit = self.stp, self.ginit
             # s.y from the line search's slopes, as L-BFGS-B computes it.
             sy = (slope - ginit) * stp
             k = np.flatnonzero(go_on & (sy > _EPS * (-ginit * stp)))
@@ -268,7 +261,7 @@ class _Runs:
             stuck = uphill & ~(gd < 0.0)
         np.copyto(self.d, d, where=start[:, None])
         np.copyto(self.stp, 1.0, where=start)
-        np.copyto(self.ls, np.array((self.f, gd, _LS_FTOL * gd)).T, where=start[:, None])
+        np.copyto(self.ginit, gd, where=start)
         self.search[start] = None
         return stuck
 
@@ -289,30 +282,28 @@ class _Runs:
         hg = self.pairs.reshape(n, 2 * _MEMORY, dim).transpose(0, 2, 1) @ coef.reshape(n, 2 * _MEMORY, 1)
         return -(h0[..., 0] * g + hg[..., 0])
 
-    def search_step(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    def search_step(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One dcsrch call per row, after evaluating it at its trial step.
 
         ``f`` and ``g`` are the value and the slope along the direction at
-        ``stp``. Returns the mask of the rows whose search has ended
+        ``stp``. Returns the masks of the rows whose search has ended
         (converged, or stopped by a MINPACK-2 warning at their current step),
-        the rows whose search failed, out of trials, and the rows that a
+        of those whose search failed, out of trials, and of those that a
         warning stopped at step 0. The others get their next trial step in
         ``stp``.
         """
-        ls = self.ls
-        ftest = ls[:, _FINIT] + self.stp * ls[:, _GTEST]
-        ended = (f <= ftest) & (np.abs(g) <= _LS_GTOL * -ls[:, _GINIT])
-        failed, stalled = [], []
+        ftest = self.f + self.stp * (_LS_FTOL * self.ginit)
+        ended = (f <= ftest) & (np.abs(g) <= _LS_GTOL * -self.ginit)
+        failed, stalled = np.zeros_like(ended), np.zeros_like(ended)
         if np.count_nonzero(ended) < ended.size:
             # Infinite values and zero-width steps are legal inputs here.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 for i in np.flatnonzero(~ended).tolist():
                     if self._next_trial(i, f[i], g[i], ftest[i]):
                         ended[i] = True
-                        if self.stp[i] == 0.0:
-                            stalled.append(i)
-                    elif self.search[i][0] >= _MAX_TRIALS:
-                        failed.append(i)
+                        stalled[i] = self.stp[i] == 0.0
+                    else:
+                        failed[i] = self.search[i][0] >= _MAX_TRIALS
         return ended, failed, stalled
 
     def _next_trial(self, i: int, f, g, ftest):
@@ -323,7 +314,8 @@ class _Runs:
         the row's next trial step goes to ``stp``, and its dcsrch state,
         which starts with the count of trials made, to ``search``.
         """
-        stp, (finit, ginit, gtest) = self.stp[i], self.ls[i]
+        stp, finit, ginit = self.stp[i], self.f[i], self.ginit[i]
+        gtest = _LS_FTOL * ginit
         state = self.search[i]
         if state is None:
             state = (0, 0.0, finit, ginit, 0.0, finit, ginit, 0.0, 5.0 * stp,

@@ -235,8 +235,6 @@ def _entropy_objective(coeffs: np.ndarray):
     rows_per_call = max(1, _KERNEL_ENTRIES >> (2 * n))
 
     def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if len(x) <= rows_per_call:
-            return value_and_grad(x)
         parts = [
             value_and_grad(x[i : i + rows_per_call])
             for i in range(0, len(x), rows_per_call)

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,7 +206,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     ----------
     rho : DensityMatrix
     keep : iterable of int
-        Qubit indices to retain. The result orders them ascending.
+        Qubit indices to retain, as ints or NumPy integers; any other index
+        (a bool included) is a ValueError. The result orders them ascending.
 
     Returns
     -------
@@ -213,6 +215,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         State on ``len(keep)`` qubits.
     """
     n = rho.n_qubits
+    keep = list(keep)
+    for q in keep:
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+            raise ValueError(f"keep index {q!r} is not an integer")
     kept = sorted(set(int(q) for q in keep))
     if not kept:
         raise ValueError("keep set must not be empty")

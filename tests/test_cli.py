@@ -691,17 +691,27 @@ class TestVerify:
         assert lines[1:-2] and all(line.startswith("[PASS]") for line in lines[1:-2])
         assert lines[-2:] == ["3/4 checks passed", "first failing check: pinch-trace-identity"]
 
-    def test_run_checks_rejects_an_unknown_scope_before_any_check(self, monkeypatch):
+    @pytest.fixture
+    def no_check_runs(self, monkeypatch):
         from gqd import checks
 
         def forbidden(*args):
-            raise AssertionError("a check ran before the scope was checked")
+            raise AssertionError("a check ran before the arguments were checked")
 
         for name in dir(checks):
             if name.startswith("check_"):
                 monkeypatch.setattr(checks, name, forbidden)
+
+    def test_run_checks_rejects_an_unknown_scope_before_any_check(self, no_check_runs):
         with pytest.raises(ValueError, match=r"scope must be one of .*, got 'everything'"):
             run_checks(scope="everything")
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "1"), ("trials", 2.0), ("trials", True),
+    ])
+    def test_run_checks_rejects_a_non_int_before_any_check(self, no_check_runs, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            run_checks("lemmas", **{name: value})
 
     def test_every_check_has_a_declared_benchmark_metric(self):
         # The traced benchmark times each check_* function as

@@ -145,6 +145,14 @@ class TestWernerGhzFamily:
             WernerGhzParams(2, -0.1)
         with pytest.raises(InvalidParamsError):
             WernerGhzParams(2, 1.1)
+        for mu in ("a", True, None, 0.5j):
+            with pytest.raises(InvalidParamsError, match="mu must be a real number"):
+                WernerGhzParams(2, mu)
+            with pytest.raises(InvalidParamsError, match="mu must be a real number"):
+                gqd_werner_ghz_asymptotic(mu)
+        for mu in (0, 1, 0.5, np.float64(0.5), np.float32(0.5), np.int64(1)):
+            assert WernerGhzParams(2, mu).mu == mu
+            assert gqd_werner_ghz_asymptotic(mu) == float(mu)
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
     def test_qubit_count_must_be_int(self, n):
@@ -268,6 +276,13 @@ class TestPauliDiagonalFamily:
             PauliDiagonalParams(1, 0.1, 0.1, 0.1)
         with pytest.raises(InvalidParamsError):
             PauliDiagonalParams(2, math.nan, 0.0, 0.0)
+        for bad in ("a", True, np.bool_(False), None, 0.5j):
+            for k, name in enumerate(("c1", "c2", "c3")):
+                coeffs = [0.0, 0.0, 0.0]
+                coeffs[k] = bad
+                with pytest.raises(InvalidParamsError, match=f"{name} must be a real number"):
+                    PauliDiagonalParams(2, *coeffs)
+        assert PauliDiagonalParams(2, 0, np.float64(0.5), np.int64(0)).coefficients() == (0, 0.5, 0)
 
     @pytest.mark.parametrize(
         "big", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
@@ -800,6 +815,54 @@ class TestStoppingRule:
         assert best == 9 and res.x[best, 0] < 0.0
         assert diag.starts_finished == 10 and diag.starts_agreeing == 1
         assert diag.raw_value == res.fun.min() < -1.0
+
+
+# Whole seeded solves of random_density_matrix(n, default_rng(21)) with
+# OptimizerOptions(seed=5, **options), pinned bit for bit: raw_value and
+# grad_norm as hex floats, then evaluations, iterations, starts_finished,
+# starts_agreeing and converged, then the measurement's directions.
+PINNED_GQD = {
+    2: ({}, "0x1.90e3359148f90p-3", "0x1.21539afb9a737p-24", (195, 162, 8, 8, True), [
+        ("0x1.951b86a5742fbp-1", "0x1.2c6dfeda4b7e9p-4", "0x1.36d7159e3a028p-1"),
+        ("-0x1.bd1424b2bcbd2p-2", "0x1.0fe9f1a211338p-1", "0x1.7466dc8fc662cp-1"),
+    ]),
+    3: ({}, "0x1.631a282810a06p-2", "0x1.5eb18937383d4p-25", (401, 343, 8, 8, True), [
+        ("-0x1.c285677e78396p-2", "0x1.202287110d806p-1", "0x1.664d3034f4b54p-1"),
+        ("0x1.3aa59795c733ep-2", "-0x1.d2dc812c71947p-1", "0x1.16cf7d422c2b2p-2"),
+        ("-0x1.632b573e15f81p-2", "0x1.e9ef697d4c477p-2", "0x1.9d0929b91542bp-1"),
+    ]),
+    8: ({"starts": 3, "max_evals_per_start": 12}, "0x1.6f03a0216826ep-1",
+        "0x1.93526cd6493bbp-13", (39, 34, 3, 1, False), [
+        ("-0x1.08712adeec2fdp-1", "0x1.e5d3fb3b9ee28p-3", "0x1.a54359d72abbcp-1"),
+        ("0x1.8866bc605539bp-1", "-0x1.69086a1bd76a9p-2", "0x1.12ea9939b4225p-1"),
+        ("-0x1.1a647a4057497p-1", "0x1.7b16b617a3ba4p-1", "0x1.8965896bd9841p-2"),
+        ("-0x1.ee3a4171cb939p-1", "0x1.0179b4b712985p-2", "0x1.21853fdb0f6bep-4"),
+        ("0x1.20eb4b29d3c44p-1", "0x1.241357d9fc468p-1", "0x1.318d23a4f7983p-1"),
+        ("-0x1.60e8f15fccbd4p-1", "-0x1.6be0db92076abp-1", "0x1.2032a6afbac13p-3"),
+        ("0x1.cbe9862090a2dp-1", "0x1.8c3f84653d7e2p-7", "0x1.c1d41c4348e4cp-2"),
+        ("0x1.92a94f9f2465fp-1", "-0x1.61a560bdbc61fp-2", "0x1.062f9710102c1p-1"),
+    ]),
+}
+
+
+class TestPinnedSolves:
+    """Whole gqd_numeric solves pinned bit for bit, so that any change to
+    the starts, the stopping rule, the stack's bookkeeping or the objective's
+    split into kernel calls fails here. At N = 2 and 3 the rule cuts the
+    stack; at N = 8 every objective call holds one kernel part per row."""
+
+    @pytest.mark.parametrize("n", sorted(PINNED_GQD))
+    def test_solve(self, n):
+        options, raw_value, grad_norm, counts, directions = PINNED_GQD[n]
+        rho = random_density_matrix(n, np.random.default_rng(21))
+        result = gqd_numeric(rho, OptimizerOptions(seed=5, **options))
+        diag = result.diagnostics
+        assert diag.raw_value.hex() == raw_value
+        assert diag.grad_norm.hex() == grad_norm
+        assert (diag.evaluations, diag.iterations, diag.starts_finished,
+                diag.starts_agreeing, diag.converged) == counts
+        assert [(d.x.hex(), d.y.hex(), d.z.hex())
+                for d in result.optimal_measurement.directions] == directions
 
 
 class TestCorrelationStart:

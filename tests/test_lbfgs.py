@@ -124,6 +124,33 @@ class TestStackedLbfgs:
             if ref.success:
                 assert np.max(np.abs(res.x[k] - ref.x)) <= 1e-6, k
 
+    def test_enough_ends_the_stack_where_it_stands(self):
+        reference = minimize(STARTS)
+        calls = []
+
+        def at_once(done, running):
+            calls.append((done.copy(), running.copy()))
+            return True
+
+        res = minimize_stacked(rosenbrock, STARTS, 2000, 1e-10, 1e-7, at_once)
+        cut = ~res.finished
+        assert len(calls) == 1 and cut.any() and not cut.all()
+        # Every row that stopped before the cut converged on Rosenbrock.
+        done, running = calls[0]
+        assert np.array_equal(done, res.fun[res.converged])
+        assert np.array_equal(running, res.fun[cut])
+        assert not res.converged[cut].any() and np.all(res.nfev[cut] > 1)
+        fun, jac = rosenbrock(res.x[cut])
+        assert np.array_equal(res.fun[cut], fun) and np.array_equal(res.jac[cut], jac)
+        for field in ("x", "fun", "jac", "nit", "nfev", "converged"):
+            assert np.array_equal(getattr(res, field)[~cut], getattr(reference, field)[~cut]), field
+
+    def test_enough_that_never_holds_changes_nothing(self):
+        reference = minimize(STARTS)
+        res = minimize_stacked(rosenbrock, STARTS, 2000, 1e-10, 1e-7, lambda done, running: False)
+        for field in ("x", "fun", "jac", "nit", "nfev", "converged", "finished"):
+            assert np.array_equal(getattr(res, field), getattr(reference, field)), field
+
 
 def dcstep_inputs(rng):
     """Seeded dcstep arguments: its four cases, bracketed and not, with the

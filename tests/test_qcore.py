@@ -1,6 +1,7 @@
 """Tests for states, entropies, and spectral utilities."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -183,6 +184,15 @@ class TestPartialTrace:
             partial_trace(rho, set())
         with pytest.raises(ValueError):
             partial_trace(rho, {5})
+
+    @pytest.mark.parametrize("index", [0.5, 1.0, "0", True, np.bool_(False), None])
+    def test_rejects_an_index_that_is_not_an_integer(self, index):
+        with pytest.raises(ValueError, match=re.escape(f"keep index {index!r} is not an integer")):
+            partial_trace(maximally_mixed(2), [index])
+
+    def test_accepts_numpy_integer_indices(self):
+        rho = random_density_matrix(2, np.random.default_rng(RNG_SEED))
+        assert np.array_equal(partial_trace(rho, [np.int64(1)]).matrix, partial_trace(rho, {1}).matrix)
 
 
 # Entries pass the rule up to 1e-9 outside [0, 1] and the sum up to 1e-9 off
