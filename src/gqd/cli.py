@@ -172,18 +172,35 @@ def load_state_document(path: str) -> StateDocument:
 
 
 def save_state_document(path: str, doc: StateDocument) -> None:
-    """Write a document as JSON; floats keep their exact repr round-trip."""
+    """Write a document as one line of JSON; floats keep their exact repr
+    round-trip.
+
+    The bytes are those of ``json.dumps`` of the whole document. Every piece
+    comes from ``json.dumps``, whose C encoder ``json.dump`` never uses, and
+    a dense matrix is written one row at a time, so that no text of the
+    whole document is held in memory.
+    """
     data: dict = {"kind": doc.kind, "n_qubits": doc.n_qubits}
     if doc.kind == "dense":
         mat = np.asarray(doc.matrix, dtype=np.complex128)
-        data["matrix"] = np.stack([mat.real, mat.imag], axis=-1).tolist()
+        pairs = np.stack([mat.real, mat.imag], axis=-1)
+        data["matrix"] = []
     elif doc.kind == "werner_ghz":
         data["mu"] = float(doc.mu)
     else:
         data["c1"], data["c2"], data["c3"] = (float(c) for c in doc.coefficients)
+    text = json.dumps(data)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh)
-        fh.write("\n")
+        if doc.kind == "dense":
+            # The rows go between the brackets of the empty "matrix" list,
+            # which closes the text.
+            fh.write(text[:-2])
+            sep = ""
+            for row in pairs:
+                fh.write(sep + json.dumps(row.tolist()))
+                sep = ", "
+            text = text[-2:]
+        fh.write(text + "\n")
 
 
 def _fmt(x: float) -> str:

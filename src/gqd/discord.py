@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,10 +123,16 @@ class PauliDiagonalParams:
         for name in ("c1", "c2", "c3"):
             v = getattr(self, name)
             _check_real(name, v)
-            # The bound first: math.isfinite overflows on an int beyond it.
-            if not (abs(v) <= sys.float_info.max and math.isfinite(v)):
-                shown = repr(v) if isinstance(v, float) else "a value beyond the float range"
-                raise InvalidParamsError(f"{name} must be finite, got {shown}")
+            # No comparison with the float bound: NumPy casts it down to a
+            # float32 or float16 v, where it overflows.
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int beyond the float range
+                raise InvalidParamsError(
+                    f"{name} must be finite, got a value beyond the float range"
+                ) from None
+            if not finite:
+                raise InvalidParamsError(f"{name} must be finite, got {v!r}")
 
     def coefficients(self) -> tuple[float, float, float]:
         return (self.c1, self.c2, self.c3)
@@ -432,12 +437,12 @@ def _correlation_start(coeffs: np.ndarray) -> np.ndarray:
     is rows 1-3 of the Pauli tensor T with axis j moved first, reshaped to
     3 x 4^(N-1): the direction that carries most of qubit j's correlations
     and Bloch vector. z where ``G_j`` is zero, as at ``I / 2^N``."""
-    directions = []
-    for j in range(coeffs.ndim):
-        m = np.moveaxis(coeffs, j, 0)[1:].reshape(3, -1)
-        g = m @ m.T
-        directions.append(np.linalg.eigh(g)[1][:, -1] if g.any() else _AXES["z"])
-    return np.concatenate(directions)
+    # One M_j at a time, as each copies three quarters of the tensor.
+    ms = (np.moveaxis(coeffs, j, 0)[1:].reshape(3, -1) for j in range(coeffs.ndim))
+    grams = np.stack([m @ m.T for m in ms])
+    top = np.linalg.eigh(grams)[1][..., -1]
+    top[~grams.any(axis=(1, 2))] = _AXES["z"]
+    return top.ravel()
 
 
 def _start_points(coeffs: np.ndarray, opts: OptimizerOptions) -> list[np.ndarray]:
@@ -448,13 +453,14 @@ def _start_points(coeffs: np.ndarray, opts: OptimizerOptions) -> list[np.ndarray
     total = opts.starts if opts.starts is not None else 8 * n
     fixed = [_correlation_start(coeffs)] + [np.tile(_AXES[axis], n) for axis in "zxy"]
     points = fixed[:total]
-    rng = np.random.default_rng(opts.seed)
-    while len(points) < total:
-        z = rng.uniform(-1.0, 1.0, size=n)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        s = np.sqrt(1.0 - z * z)
-        points.append(np.column_stack([s * np.cos(phi), s * np.sin(phi), z]).ravel())
-    return points
+    # One draw for every random start, n values of z, then n of phi, per
+    # start, mapped as Generator.uniform maps them onto [-1, 1) and [0, 2 pi).
+    u = np.random.default_rng(opts.seed).random((total - len(points), 2, n))
+    z = -1.0 + 2.0 * u[:, 0]
+    phi = 2.0 * math.pi * u[:, 1]
+    s = np.sqrt(1.0 - z * z)
+    drawn = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+    return points + list(drawn.reshape(len(drawn), 3 * n))
 
 
 def _measurement_from(x: np.ndarray) -> LocalMeasurement:

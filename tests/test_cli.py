@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -62,6 +63,44 @@ def forbid_grids(monkeypatch):
     monkeypatch.setattr(np, "linspace", linspace)
 
 
+def whole_document_text(doc: StateDocument) -> str:
+    """A document as ``json.dumps`` writes it whole: the bytes that
+    ``save_state_document`` must give."""
+    data: dict = {"kind": doc.kind, "n_qubits": doc.n_qubits}
+    if doc.kind == "dense":
+        mat = np.asarray(doc.matrix, dtype=np.complex128)
+        data["matrix"] = np.stack([mat.real, mat.imag], axis=-1).tolist()
+    elif doc.kind == "werner_ghz":
+        data["mu"] = float(doc.mu)
+    else:
+        data["c1"], data["c2"], data["c3"] = (float(c) for c in doc.coefficients)
+    return json.dumps(data) + "\n"
+
+
+def complex_matrix(re, im) -> np.ndarray:
+    """``re + i im`` entry by entry; ``re + 1j * im`` turns an infinite
+    ``im`` into a NaN real part."""
+    m = np.empty(np.shape(re), dtype=np.complex128)
+    m.real, m.imag = re, im
+    return m
+
+
+# Signed zeros, the smallest subnormal, the largest float, 1/3, NaN and
+# both infinities, in both parts; a 1-D and an empty matrix as well as
+# square ones.
+_EDGES = np.resize([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1.0 / 3.0, math.nan, math.inf, -math.inf], 16)
+WRITER_DOCS = [
+    StateDocument("werner_ghz", 3, mu=0.1),
+    StateDocument("pauli_diagonal", 4, coefficients=(0.1, -0.2, 1.0 / 3.0)),
+    StateDocument("dense", 3, matrix=random_density_matrix(3, np.random.default_rng(98)).matrix),
+    StateDocument("dense", 1, matrix=complex_matrix(_EDGES[:4].reshape(2, 2), _EDGES[4:8].reshape(2, 2))),
+    StateDocument("dense", 2, matrix=complex_matrix(_EDGES.reshape(4, 4), np.roll(_EDGES, 5).reshape(4, 4))),
+    StateDocument("dense", 1, matrix=complex_matrix(_EDGES[:9], _EDGES[8::-1])),
+    StateDocument("dense", 1, matrix=np.zeros((0, 0), dtype=np.complex128)),
+]
+WRITER_IDS = ["werner_ghz", "pauli_diagonal", "dense", "dense-n1-edges", "dense-edges", "dense-1d", "dense-empty"]
+
+
 class TestStateDocuments:
     @pytest.mark.parametrize(
         "doc",
@@ -86,6 +125,36 @@ class TestStateDocuments:
                 assert got.tobytes() == want.tobytes()
             else:
                 assert got == want, field.name
+
+    @pytest.mark.parametrize("doc", WRITER_DOCS, ids=WRITER_IDS)
+    def test_file_is_json_dumps_of_the_whole_document(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        save_state_document(str(path), doc)
+        assert path.read_bytes() == whole_document_text(doc).encode()
+
+    @pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="no C JSON encoder")
+    @pytest.mark.parametrize("doc", WRITER_DOCS, ids=WRITER_IDS)
+    def test_writer_never_takes_the_pure_python_encoder(self, tmp_path, monkeypatch, doc):
+        want = whole_document_text(doc).encode()
+
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        path = tmp_path / "doc.json"
+        save_state_document(str(path), doc)
+        assert path.read_bytes() == want
+
+    def test_writer_holds_no_whole_document(self, tmp_path):
+        # The complex matrix is 1 MiB at N = 8; the text is about 3 MiB.
+        doc = StateDocument("dense", 8, matrix=random_density_matrix(8, np.random.default_rng(8)).matrix)
+        tracemalloc.start()
+        try:
+            save_state_document(str(tmp_path / "doc.json"), doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * doc.matrix.nbytes
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(DocumentError, match="kind"):

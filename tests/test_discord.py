@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,20 @@ class TestPauliDiagonalFamily:
                 with pytest.raises(InvalidParamsError, match=f"{name} must be a real number"):
                     PauliDiagonalParams(2, *coeffs)
         assert PauliDiagonalParams(2, 0, np.float64(0.5), np.int64(0)).coefficients() == (0, 0.5, 0)
+        # Narrow NumPy floats, checked without casting the float bound down
+        # to their type, where it overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert PauliDiagonalParams(2, 0, np.float32(0.5), 0).c2 == 0.5
+            assert PauliDiagonalParams(2, np.float16(-0.25), 0, 0).c1 == -0.25
+            for k, name in enumerate(("c1", "c2", "c3")):
+                for bad in (np.float32(np.inf), np.float16(-np.inf), np.float32(np.nan)):
+                    coeffs = [0.0, 0.0, 0.0]
+                    coeffs[k] = bad
+                    with pytest.raises(InvalidParamsError, match=f"{name} must be finite"):
+                        PauliDiagonalParams(2, *coeffs)
+        with pytest.raises(InvalidParamsError, match="c3 must be finite, got a value beyond the float range"):
+            PauliDiagonalParams(2, 0, 0, 10**400)
 
     @pytest.mark.parametrize(
         "big", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
@@ -908,6 +923,45 @@ class TestCorrelationStart:
         _, _, axis_diag = _run_starts(objective(rho), axes, opts, mutual_information(rho))
         assert axis_diag.raw_value - exact > 0.1
         assert abs(gqd_numeric(rho, opts).value - exact) <= 1e-9
+
+
+def frozen_start_points(coeffs: np.ndarray, starts: int | None, seed: int) -> list[np.ndarray]:
+    """A fixed copy of the package's start list, one qubit and one start at
+    a time: the correlation start from one ``eigh`` per qubit, z, x and y
+    tiles, then one pair of ``uniform`` draws (z, phi) per random start."""
+    n = coeffs.ndim
+    directions = []
+    for j in range(n):
+        m = np.moveaxis(coeffs, j, 0)[1:].reshape(3, -1)
+        g = m @ m.T
+        directions.append(np.linalg.eigh(g)[1][:, -1] if g.any() else np.array([0.0, 0.0, 1.0]))
+    axes = ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    total = 8 * n if starts is None else starts
+    points = ([np.concatenate(directions)] + [np.tile(a, n) for a in axes])[:total]
+    rng = np.random.default_rng(seed)
+    while len(points) < total:
+        z = rng.uniform(-1.0, 1.0, size=n)
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        s = np.sqrt(1.0 - z * z)
+        points.append(np.column_stack([s * np.cos(phi), s * np.sin(phi), z]).ravel())
+    return points
+
+
+class TestStartPoints:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_match_a_frozen_copy_byte_for_byte(self, n):
+        # A Ginibre state, and one whose first qubit is I/2 and uncorrelated,
+        # so that one Gram matrix of the stack is zero.
+        rng = np.random.default_rng(RNG_SEED + n)
+        rest = random_density_matrix(n - 1, rng).matrix
+        states = [random_density_matrix(n, rng).matrix, np.kron(np.eye(2) / 2, rest)]
+        for rho in states:
+            coeffs = _pauli_coefficients(rho).real
+            for seed, starts in itertools.product(range(20), [1, 3, 4, 5, None]):
+                got = _start_points(coeffs, OptimizerOptions(seed=seed, starts=starts))
+                want = frozen_start_points(coeffs, starts, seed)
+                assert isinstance(got, list) and len(got) == len(want)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (seed, starts)
 
 
 class TestMixedMarginalShortcut:
