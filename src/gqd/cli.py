@@ -236,6 +236,20 @@ def _result_record(result: GqdResult, seed: int, wall_time: float) -> dict:
     }
 
 
+def _dense_state(doc: StateDocument) -> DensityMatrix:
+    """The document's dense state; a :class:`QubitLimitError` when its 4^N
+    complex entries overflow NumPy's size type or cannot be allocated."""
+    too_large = QubitLimitError(
+        f"state has {doc.n_qubits} qubits, too many to build as a dense matrix"
+    )
+    if 16 * 4**doc.n_qubits > sys.maxsize:
+        raise too_large
+    try:
+        return doc.to_density_matrix()
+    except MemoryError:
+        raise too_large from None
+
+
 def cmd_compute(args) -> int:
     # Built first so that out-of-range flags fail on the closed route too.
     opts = _optimizer_options(args)
@@ -255,7 +269,7 @@ def cmd_compute(args) -> int:
     else:
         # Before the dense state is built, whose size is exponential in N.
         _check_numeric_size(doc.n_qubits, opts)
-        result = gqd_numeric(doc.to_density_matrix(), opts)
+        result = gqd_numeric(_dense_state(doc), opts)
     record = _result_record(result, opts.seed, time.perf_counter() - t0)
     print(json.dumps(record))
     return EXIT_OK

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lbfgs import minimize_stacked
-from .measurement import LocalMeasurement, _AXES, _bloch_vectors, _entropy_objective, _pauli_coefficients
+from .measurement import (
+    LocalMeasurement,
+    _AXES,
+    _bloch_vectors,
+    _entropy_objective,
+    _pauli_coefficients,
+    canonical_direction,
+)
 from .qcore import (
     BlochVector,
     DensityMatrix,
@@ -356,16 +363,13 @@ class OptimizerOptions:
     threads: int = 1
 
     def __post_init__(self):
-        if not (
-            type(self.f_tol) in (int, float)
-            and math.isfinite(self.f_tol)
-            and self.f_tol >= 0.0
-        ):
-            raise InvalidParamsError(
-                f"f_tol must be finite and >= 0, got {self.f_tol!r}"
-            )
-        # Each integer field with its least and greatest value. A plain type
-        # test, as for n_qubits: bool is an int subclass.
+        # Plain type tests, as for n_qubits: bool is an int subclass, and
+        # np.float64 a float subclass.
+        if type(self.f_tol) not in (int, float):
+            raise InvalidParamsError(f"f_tol must be a plain int or float, got {self.f_tol!r}")
+        if not (math.isfinite(self.f_tol) and self.f_tol >= 0.0):
+            raise InvalidParamsError(f"f_tol must be finite and >= 0, got {self.f_tol!r}")
+        # Each integer field with its least and greatest value.
         for name, low, high in (
             ("seed", 0, None),
             ("starts", 1, MAX_STARTS),
@@ -377,7 +381,7 @@ class OptimizerOptions:
             if v is None and name == "starts":
                 continue
             if type(v) is not int:
-                raise InvalidParamsError(f"{name} must be an integer, got {v!r}")
+                raise InvalidParamsError(f"{name} must be a plain int, got {v!r}")
             if low is not None and v < low:
                 raise InvalidParamsError(f"{name} must be >= {low}, got {v}")
             if high is not None and v > high:
@@ -437,9 +441,12 @@ def _correlation_start(coeffs: np.ndarray) -> np.ndarray:
     is rows 1-3 of the Pauli tensor T with axis j moved first, reshaped to
     3 x 4^(N-1): the direction that carries most of qubit j's correlations
     and Bloch vector. z where ``G_j`` is zero, as at ``I / 2^N``."""
-    # One M_j at a time, as each copies three quarters of the tensor.
-    ms = (np.moveaxis(coeffs, j, 0)[1:].reshape(3, -1) for j in range(coeffs.ndim))
-    grams = np.stack([m @ m.T for m in ms])
+    n = coeffs.ndim
+    grams = np.empty((n, 3, 3))
+    for j in range(n):
+        # One M_j at a time, as each copies three quarters of the tensor.
+        m = coeffs.transpose([j, *range(j), *range(j + 1, n)])[1:].reshape(3, -1)
+        np.matmul(m, m.T, out=grams[j])
     top = np.linalg.eigh(grams)[1][..., -1]
     top[~grams.any(axis=(1, 2))] = _AXES["z"]
     return top.ravel()
@@ -451,7 +458,7 @@ def _start_points(coeffs: np.ndarray, opts: OptimizerOptions) -> list[np.ndarray
     directions."""
     n = coeffs.ndim
     total = opts.starts if opts.starts is not None else 8 * n
-    fixed = [_correlation_start(coeffs)] + [np.tile(_AXES[axis], n) for axis in "zxy"]
+    fixed = [_correlation_start(coeffs)] + [np.array(_AXES[axis] * n) for axis in "zxy"]
     points = fixed[:total]
     # One draw for every random start, n values of z, then n of phi, per
     # start, mapped as Generator.uniform maps them onto [-1, 1) and [0, 2 pi).
@@ -466,8 +473,7 @@ def _start_points(coeffs: np.ndarray, opts: OptimizerOptions) -> list[np.ndarray
 def _measurement_from(x: np.ndarray) -> LocalMeasurement:
     v = x.reshape(-1, 3)
     v = v / np.sqrt((v * v).sum(axis=1))[:, None]
-    m = LocalMeasurement(tuple(BlochVector(*map(float, row)) for row in v))
-    return m.canonicalized()
+    return LocalMeasurement(tuple(canonical_direction(BlochVector(*row)) for row in v.tolist()))
 
 
 def _found_every_minimum(done: np.ndarray, running: np.ndarray) -> bool:
@@ -490,13 +496,14 @@ def _found_every_minimum(done: np.ndarray, running: np.ndarray) -> bool:
     and those of 500 locally rotated Pauli-diagonal states at N = 2-4
     within 3e-15 of the closed form.
     """
-    k = done.size
-    f = np.sort(done)
-    w = 1 + int(np.count_nonzero(np.diff(f) > _AGREE_TOL))
+    # Sorted by NumPy, which puts NaN last; then the few values as floats.
+    f = np.sort(done).tolist()
+    k = len(f)
+    w = 1 + sum(b - a > _AGREE_TOL for a, b in zip(f, f[1:]))
     return (
         k > w + 2
         and w * (k - 1) / (k - w - 2) < w + 0.5
-        and not np.any(running < f[0] - _AGREE_TOL)
+        and not any(r < f[0] - _AGREE_TOL for r in running.tolist())
     )
 
 
@@ -511,7 +518,7 @@ def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
     res = minimize_stacked(
         fun, points, opts.max_evals_per_start, opts.f_tol, _GRAD_TOL, _found_every_minimum
     )
-    best = int(np.argmin(np.where(res.finished, res.fun, np.inf)))
+    best = int(np.where(res.finished, res.fun, np.inf).argmin())
     # The tangent gradient is |v_j| times the gradient in v_j.
     v, jac = res.x[best].reshape(-1, 3), res.jac[best].reshape(-1, 3)
     grad_norm = np.sqrt((v * v).sum(axis=1) * (jac * jac).sum(axis=1)).max()
@@ -519,8 +526,8 @@ def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
     diag = OptimizerDiagnostics(
         starts=len(points),
         starts_finished=int(np.count_nonzero(res.finished)),
-        iterations=int(res.nit.sum()),
-        evaluations=int(res.nfev.sum()),
+        iterations=sum(res.nit.tolist()),
+        evaluations=sum(res.nfev.tolist()),
         starts_agreeing=int(np.count_nonzero(agreeing)),
         grad_norm=float(grad_norm),
         seed=opts.seed,

@@ -63,7 +63,8 @@ def minimize_stacked(
     """Minimize from every row of ``x0`` with the stacked L-BFGS iteration.
 
     ``fun(X)`` maps an ``(R, D)`` stack of points to the values ``(R,)`` and
-    gradients ``(R, D)``. A row stops once the largest gradient component is
+    gradients ``(R, D)``, new arrays on every call, which the rows keep
+    without a copy. A row stops once the largest gradient component is
     at most ``g_tol``, or once an iteration lowers its value by at most
     ``f_tol * max(|f_old|, |f_new|, 1)``. It also stops, unconverged, when an
     iteration ends with more than ``max_evals`` evaluations, when its line
@@ -88,13 +89,16 @@ def minimize_stacked(
         converged=np.abs(g).max(axis=1) <= g_tol,
         finished=np.ones(len(x), dtype=bool),
     )
-    runs = _Runs(np.flatnonzero(~out.converged), out)
+    runs = _Runs((~out.converged).nonzero()[0], out)
     stuck = runs.start_search(np.ones(runs.rows.size, dtype=bool))
     # The very first step of a row has length 1; later ones start at the
     # full quasi-Newton step.
     with np.errstate(divide="ignore"):  # d = 0 only on stuck rows
         runs.stp = np.minimum(1.0 / np.sqrt((runs.d * runs.d).sum(axis=1)), _STPMAX)
-    runs.retire(stuck, np.zeros_like(stuck), out)
+    # Every row in the stack is evaluated at every call, so all of them have
+    # made the same number of evaluations.
+    nfev = 1
+    runs.retire(stuck, np.zeros_like(stuck), nfev, out)
     stopped = runs.rows.size < len(x)
     while runs.rows.size:
         # A row in the stack is not converged in `out`, so `out.converged`
@@ -102,28 +106,32 @@ def minimize_stacked(
         if stopped and enough is not None and enough(out.fun[out.converged], runs.f):
             out.finished[runs.rows] = False
             break
-        x_trial = runs.x + runs.stp[:, None] * runs.d
+        step = runs.stp[:, None] * runs.d
+        x_trial = runs.x + step
         f_trial, g_trial = fun(x_trial)
-        runs.nfev += 1
-        slope = (g_trial * runs.d).sum(axis=1)
+        nfev += 1
+        slope = np.add.reduce(g_trial * runs.d, axis=1)
         ended, failed, stalled = runs.search_step(f_trial, slope)
-        stop, converged = runs.accept(ended, x_trial, f_trial, g_trial, slope, max_evals, f_tol, g_tol)
+        stop, converged = runs.accept(
+            ended, step, x_trial, f_trial, g_trial, slope, nfev > max_evals, f_tol, g_tol
+        )
         # A search that a warning ended at step 0 left its row in place: the
         # zero decrease passes the f_tol test, but the row has not converged.
-        stop |= stalled
-        converged &= ~stalled
+        for i in stalled:
+            stop[i], converged[i] = True, False
         # A failed search leaves the row at its last accepted point. With
         # pairs in memory it restarts along -g; without, it gives up.
-        if failed.any():
-            fresh = failed & (runs.col == 0)
-            stop |= fresh
-            runs.forget(failed & ~fresh)
-            ended |= failed
-        stop |= runs.start_search(ended & ~stop)
-        stopped = runs.retire(stop, converged, out)
+        for i in failed:
+            if runs.col[i]:
+                runs.forget(i)
+            else:
+                stop[i] = True
+            ended[i] = True
+        stop |= runs.start_search(ended ^ stop)  # stop is within ended
+        stopped = runs.retire(stop, converged, nfev, out)
     # The rows that `enough` ended, unconverged; none if every row stopped.
     none = np.zeros(runs.rows.size, dtype=bool)
-    runs.retire(~none, none, out)
+    runs.retire(~none, none, nfev, out)
     return out
 
 
@@ -137,14 +145,15 @@ class _Runs:
     def __init__(self, rows: np.ndarray, out: StackedResult):
         self.rows = rows  # indices into the full stack
         self.x, self.f, self.g = out.x[rows], out.fun[rows], out.jac[rows]
-        self.nit, self.nfev = out.nit[rows], out.nfev[rows]
+        self.nit = out.nit[rows]
         n, dim = self.x.shape
         self.d, self.stp = np.zeros((n, dim)), np.zeros(n)
         # Memory in the compact form of Byrd, Nocedal & Schnabel (1994), oldest
         # pair first and zero past the `col` valid pairs: the pairs (s_i, y_i)
         # of steps and gradient changes, s_i.y_i, the Gram matrix y_i.y_j, and
         # the inverse of the upper triangle R_ij = s_i.y_j (i <= j); h0 scales
-        # the initial inverse Hessian. Zero slots add nothing to a product.
+        # the initial inverse Hessian. Zero slots add nothing to a product,
+        # and the products with the pairs skip the slots that no row fills.
         self.pairs = np.zeros((n, _MEMORY, 2, dim))
         self.sy_mem = np.zeros((n, _MEMORY))
         self.yy_mem = np.zeros((n, _MEMORY, _MEMORY))
@@ -156,88 +165,111 @@ class _Runs:
         self.ginit = np.zeros(n)
         self.search = np.empty(n, dtype=object)
 
-    def retire(self, stop: np.ndarray, converged: np.ndarray, out: StackedResult) -> bool:
-        """Write the stopped rows to ``out`` and drop them from the stack.
+    def retire(self, stop: np.ndarray, converged: np.ndarray, nfev: int, out: StackedResult) -> bool:
+        """Write the stopped rows, with ``nfev`` evaluations each, to ``out``
+        and drop them from the stack.
 
         Returns whether any row stopped.
         """
         if not np.count_nonzero(stop):
             return False
         rows = self.rows[stop]
-        out.x[rows], out.fun[rows], out.jac[rows] = self.x[stop], self.f[stop], self.g[stop]
-        out.nit[rows], out.nfev[rows] = self.nit[stop], self.nfev[stop]
+        out.x[rows], out.fun[rows] = self.x.compress(stop, axis=0), self.f[stop]
+        out.jac[rows] = self.g.compress(stop, axis=0)
+        out.nit[rows], out.nfev[rows] = self.nit[stop], nfev
         out.converged[rows] = converged[stop]
-        keep = np.flatnonzero(~stop)
-        for name, value in vars(self).items():
-            setattr(self, name, value[keep])
+        keep = (~stop).nonzero()[0]
+        state = vars(self)
+        for name, value in state.items():
+            state[name] = value.take(keep, axis=0)
         return True
 
-    def forget(self, rows: np.ndarray) -> None:
-        """Empty the memory of the rows in the mask ``rows``."""
+    def forget(self, rows) -> None:
+        """Empty the memory of the rows ``rows``, a mask or an index."""
         for mem in (self.pairs, self.sy_mem, self.yy_mem, self.r_inv):
             mem[rows] = 0.0
         self.col[rows] = 0
         self.h0[rows] = 1.0
 
-    def accept(self, ended, x_trial, f_trial, g_trial, slope, max_evals, f_tol, g_tol):
-        """Move the rows whose search ended to their trial points.
+    def accept(self, ended, step, x_trial, f_trial, g_trial, slope, capped, f_tol, g_tol):
+        """Move the rows whose search ended by ``step`` to their trial points.
 
         Applies the stopping tests, and adds the new pair to the memory of
         each row that goes on, unless its curvature ``s.y`` is not positive.
-        Returns the masks of the rows that stop and of those that converged.
+        With ``capped``, past the evaluation cap, every such row stops
+        unconverged. Returns the masks of the rows that stop and of those
+        that converged.
         """
         f_old = self.f
-        scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f_trial)), 1.0)
-        capped = ended & (self.nfev > max_evals)
-        converged = (ended & ~capped) & (
-            (np.abs(g_trial).max(axis=1) <= g_tol) | (f_old - f_trial <= f_tol * scale)
-        )
-        stop = capped | converged
-        go_on = ended & ~stop
-        if np.count_nonzero(go_on):
-            stp, ginit = self.stp, self.ginit
-            # s.y from the line search's slopes, as L-BFGS-B computes it.
-            sy = (slope - ginit) * stp
-            k = np.flatnonzero(go_on & (sy > _EPS * (-ginit * stp)))
-            if k.size:
-                self._remember(k, stp[k, None] * self.d[k], (g_trial - self.g)[k], sy[k])
-        np.copyto(self.x, x_trial, where=ended[:, None])
-        np.copyto(self.f, f_trial, where=ended)
-        np.copyto(self.g, g_trial, where=ended[:, None])
+        if capped:
+            converged = np.zeros_like(ended)
+            stop = ended.copy()
+        else:
+            scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f_trial)), 1.0)
+            converged = ended & (
+                (np.maximum.reduce(np.abs(g_trial), axis=1) <= g_tol)
+                | (f_old - f_trial <= f_tol * scale)
+            )
+            stop = converged.copy()
+        go_on = ended ^ stop  # stop is within ended
+        stp, ginit = self.stp, self.ginit
+        # s.y from the line search's slopes, as L-BFGS-B computes it.
+        sy = (slope - ginit) * stp
+        k = (go_on & (sy > -_EPS * (ginit * stp))).nonzero()[0]
+        if k.size:
+            # The pairs (s, y) of every row, then of the rows k.
+            pair = np.empty((len(slope), 2, step.shape[1]))
+            pair[:, 0] = step
+            np.subtract(g_trial, self.g, out=pair[:, 1])
+            self._remember(k, pair.take(k, axis=0), sy[k])
+        if np.count_nonzero(ended) == ended.size:
+            self.x, self.f, self.g = x_trial, f_trial, g_trial
+        else:
+            np.copyto(self.x, x_trial, where=ended[:, None])
+            np.copyto(self.f, f_trial, where=ended)
+            np.copyto(self.g, g_trial, where=ended[:, None])
         self.nit += ended
         return stop, converged
 
-    def _remember(self, k, s, y, sy) -> None:
-        """Append the pair (s, y) with curvature sy to the memory of rows k,
-        dropping the oldest pair of a full memory."""
+    def _remember(self, k, pair, sy) -> None:
+        """Append ``pair``, the pairs (s, y) with curvatures sy, to the memory
+        of rows k, dropping the oldest pair of a full memory."""
         c = self.col[k]
-        full = k[c == _MEMORY]
-        if full.size:
+        if np.count_nonzero(c == _MEMORY):
             # R and the Gram matrix of the newer pairs are the trailing
             # blocks, and so is the inverse of R, as R is triangular. The
-            # freed slot of each memory is written below. R^-1 also needs
-            # zeros in its last row, below its diagonal, and in its last
-            # column, from which its new column is computed.
+            # freed slot of each memory is written below. The last column of
+            # R^-1, from which its new column is computed, is zeroed; its
+            # last row holds (signed) zeros already, but for that column's
+            # entry, and a zero of either sign adds nothing to a product.
+            full = k[c == _MEMORY]
             for mem in (self.pairs, self.sy_mem):
-                mem[full, :-1] = mem[full, 1:]
+                mem[full, :-1] = mem.take(full, axis=0)[:, 1:]
             for mat in (self.yy_mem, self.r_inv):
-                mat[full, :-1, :-1] = mat[full, 1:, 1:]
-            self.r_inv[full, -1] = self.r_inv[full, :, -1] = 0.0
+                mat[full, :-1, :-1] = mat.take(full, axis=0)[:, 1:, 1:]
+            self.r_inv[full, :, -1] = 0.0
             c = np.minimum(c, _MEMORY - 1)
-        self.pairs[k, c, 0], self.pairs[k, c, 1] = s, y
+        self.pairs[k, c] = pair
         self.sy_mem[k, c] = sy
         # (s_i.y, y_i.y) for every slot, the new one included.
-        dots = (self.pairs[k] @ y[:, None, :, None])[..., 0]
-        yy = dots[..., 1]
+        dots = self._dots(self.pairs.take(k, axis=0), pair[:, 1], max(c.tolist()) + 1)
+        yy = dots[:, :, 1, 0]
         self.yy_mem[k, c], self.yy_mem[k, :, c] = yy, yy
         # The new column of R is (s_i.y)_i with sy on the diagonal, so the new
         # column of its inverse is -R^-1 (s_i.y)_(i<c) / sy with 1 / sy below.
-        r_col = (self.r_inv[k] @ dots[..., :1])[..., 0] / -sy[:, None]
-        rows = np.arange(k.size)
-        r_col[rows, c] = 1.0 / sy
-        self.r_inv[k, :, c] = r_col
+        self.r_inv[k, :, c] = (self.r_inv.take(k, axis=0) @ dots[:, :, 0])[..., 0] / -sy[:, None]
+        self.r_inv[k, c, c] = 1.0 / sy
         self.col[k] = c + 1
-        self.h0[k] = sy / yy[rows, c]
+        self.h0[k] = sy / self.yy_mem[k, c, c]
+
+    @staticmethod
+    def _dots(pairs, v, used):
+        """``(s_i.v, y_i.v)`` for every slot i, as an ``(n, _MEMORY, 2, 1)``
+        array: one (2 x D) product per slot of the first ``used``, whose
+        later slots are empty in every row, and exactly 0.0 past them."""
+        dots = np.zeros((len(v), _MEMORY, 2, 1))
+        dots[:, :used] = pairs[:, :used] @ v[:, None, :, None]
+        return dots
 
     def start_search(self, start: np.ndarray) -> np.ndarray:
         """New direction, unit step and dcsrch start for the rows in the mask
@@ -247,11 +279,12 @@ class _Runs:
         ``start``. Returns the mask of the rows that cannot descend: their
         direction is not downhill even with an empty memory.
         """
-        if not np.count_nonzero(start):
+        started = np.count_nonzero(start)
+        if not started:
             return start
         g = self.g
         d = self._descent(g)
-        gd = (g * d).sum(axis=1)
+        gd = np.add.reduce(g * d, axis=1)
         stuck = uphill = start & (gd >= 0.0)
         if np.count_nonzero(uphill):
             # L-BFGS-B drops its memory and steps along -g instead.
@@ -259,10 +292,14 @@ class _Runs:
             d[uphill] = -g[uphill]
             gd[uphill] = (g[uphill] * d[uphill]).sum(axis=1)
             stuck = uphill & ~(gd < 0.0)
-        np.copyto(self.d, d, where=start[:, None])
-        np.copyto(self.stp, 1.0, where=start)
-        np.copyto(self.ginit, gd, where=start)
-        self.search[start] = None
+        if started == start.size:
+            self.d, self.stp, self.ginit = d, np.ones(started), gd
+            self.search = np.empty(started, dtype=object)
+        else:
+            np.copyto(self.d, d, where=start[:, None])
+            np.copyto(self.stp, 1.0, where=start)
+            np.copyto(self.ginit, gd, where=start)
+            self.search[start] = None
         return stuck
 
     def _descent(self, g: np.ndarray) -> np.ndarray:
@@ -273,48 +310,47 @@ class _Runs:
         Schnabel (Math. Program. 63 (1994) 129), Theorem 2.2.
         """
         h0 = self.h0[:, None, None]
-        dots = (self.pairs @ g[:, None, :, None])[..., 0]  # (s_i.g, y_i.g)
-        w = self.r_inv @ dots[..., :1]
-        z = self.sy_mem[:, :, None] * w + h0 * (self.yy_mem @ w - dots[..., 1:])
+        dots = self._dots(self.pairs, g, max(self.col.tolist()))  # (s_i.g, y_i.g)
+        w = self.r_inv @ dots[:, :, 0]
+        z = self.sy_mem[:, :, None] * w + h0 * (self.yy_mem @ w - dots[:, :, 1])
         # Coefficients of s_i and y_i in H g - h0 g.
         coef = np.concatenate([self.r_inv.transpose(0, 2, 1) @ z, -h0 * w], axis=2)
         n, dim = g.shape
         hg = self.pairs.reshape(n, 2 * _MEMORY, dim).transpose(0, 2, 1) @ coef.reshape(n, 2 * _MEMORY, 1)
         return -(h0[..., 0] * g + hg[..., 0])
 
-    def search_step(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def search_step(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
         """One dcsrch call per row, after evaluating it at its trial step.
 
         ``f`` and ``g`` are the value and the slope along the direction at
-        ``stp``. Returns the masks of the rows whose search has ended
+        ``stp``. Returns the mask of the rows whose search has ended
         (converged, or stopped by a MINPACK-2 warning at their current step),
-        of those whose search failed, out of trials, and of those that a
-        warning stopped at step 0. The others get their next trial step in
-        ``stp``.
+        and the lists of the rows whose search failed, out of trials, and of
+        those that a warning stopped at step 0. The others get their next
+        trial step in ``stp``.
         """
         ftest = self.f + self.stp * (_LS_FTOL * self.ginit)
-        ended = (f <= ftest) & (np.abs(g) <= _LS_GTOL * -self.ginit)
-        failed, stalled = np.zeros_like(ended), np.zeros_like(ended)
+        ended = (f <= ftest) & (np.abs(g) <= -_LS_GTOL * self.ginit)
+        failed, stalled = [], []
         if np.count_nonzero(ended) < ended.size:
-            # Infinite values and zero-width steps are legal inputs here.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for i in np.flatnonzero(~ended).tolist():
-                    if self._next_trial(i, f[i], g[i], ftest[i]):
-                        ended[i] = True
-                        stalled[i] = self.stp[i] == 0.0
-                    else:
-                        failed[i] = self.search[i][0] >= _MAX_TRIALS
+            for i in (~ended).nonzero()[0].tolist():
+                if self._next_trial(i, f.item(i), g.item(i), ftest.item(i)):
+                    ended[i] = True
+                    if self.stp[i] == 0.0:
+                        stalled.append(i)
+                elif self.search[i][0] >= _MAX_TRIALS:
+                    failed.append(i)
         return ended, failed, stalled
 
     def _next_trial(self, i: int, f, g, ftest):
         """The rest of dcsrch for row ``i``, whose trial step did not converge.
 
-        ``f``, ``g`` and ``ftest`` are ``np.float64`` scalars. Returns True
+        ``f``, ``g`` and ``ftest`` are Python floats. Returns True
         when a MINPACK-2 warning ends the search at its current step. Else
         the row's next trial step goes to ``stp``, and its dcsrch state,
         which starts with the count of trials made, to ``search``.
         """
-        stp, finit, ginit = self.stp[i], self.f[i], self.ginit[i]
+        stp, finit, ginit = self.stp.item(i), self.f.item(i), self.ginit.item(i)
         gtest = _LS_FTOL * ginit
         state = self.search[i]
         if state is None:
@@ -361,27 +397,27 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     interval between ``stx`` (the best step) and ``sty``.
 
     Returns the new ``stx, fx, dx, sty, fy, dy``, the trial step and the
-    bracketing flag, as SciPy's ``scipy.optimize._dcsrch.dcstep`` does. The
-    floats are ``np.float64`` scalars, so that a division by zero gives inf
-    or NaN under the caller's ``np.errstate``. Three details differ from
-    SciPy's port, and the results pinned in the tests depend on them:
-    squares are products (``**`` can round the last bit otherwise), every
-    square root takes a rounding-level negative argument as 0, and in case 1
-    a tie between the cubic and the quadratic step takes their average, as
-    in MINPACK.
+    bracketing flag, as SciPy's ``scipy.optimize._dcsrch.dcstep`` does.
+    Infinite values and zero-width steps are legal inputs: every division is
+    :func:`_div`, which gives inf or NaN as IEEE 754 does where Python's
+    ``/`` raises. Three details differ from SciPy's port, and the results
+    pinned in the tests depend on them: squares are products (``**`` can
+    round the last bit otherwise), every square root takes a rounding-level
+    negative argument as 0, and in case 1 a tie between the cubic and the
+    quadratic step takes their average, as in MINPACK.
     """
     opposite = dp < 0.0 < dx or dx < 0.0 < dp  # slopes of opposite signs
     if fp > fx:
         # Case 1: a higher value brackets the minimum. Take the cubic step if
         # it is closer to stx than the quadratic step, else their average.
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        theta = _div(3.0 * (fx - fp), stp - stx) + dx + dp
         gamma = _gamma(theta, dx, dp)
         if stp < stx:
             gamma = -gamma
         p = (gamma - dx) + theta
         q = ((gamma - dx) + gamma) + dp
-        stpc = stx + p / q * (stp - stx)
-        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        stpc = stx + _div(p, q) * (stp - stx)
+        stpq = stx + (_div(dx, _div(fx - fp, stp - stx) + dx) / 2.0) * (stp - stx)
         if abs(stpc - stx) < abs(stpq - stx):
             stpf = stpc
         else:
@@ -390,14 +426,14 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     elif opposite:
         # Case 2: opposite slopes bracket the minimum. Take the cubic step if
         # it is farther from stp than the secant step, else the secant step.
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        theta = _div(3.0 * (fx - fp), stp - stx) + dx + dp
         gamma = _gamma(theta, dx, dp)
         if stp > stx:
             gamma = -gamma
         p = (gamma - dp) + theta
         q = ((gamma - dp) + gamma) + dx
-        stpc = stp + p / q * (stx - stp)
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpc = stp + _div(p, q) * (stx - stp)
+        stpq = stp + _div(dp, dp - dx) * (stx - stp)
         stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
         brackt = True
     elif abs(dp) < abs(dx):
@@ -405,20 +441,20 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
         # tends to infinity in the direction of the step; then, once
         # bracketed, the closer of it and the secant step, kept within 0.66
         # of the interval, else the farther within the step bounds.
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        theta = _div(3.0 * (fx - fp), stp - stx) + dx + dp
         gamma = _gamma(theta, dx, dp)
         if stp > stx:
             gamma = -gamma
         p = (gamma - dp) + theta
         q = (gamma + (dx - dp)) + gamma
-        r = p / q
+        r = _div(p, q)
         if r < 0.0 and gamma != 0.0:
             stpc = stp + r * (stx - stp)
         elif stp > stx:
             stpc = stpmax
         else:
             stpc = stpmin
-        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        stpq = stp + _div(dp, dp - dx) * (stx - stp)
         if brackt:
             stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
             limit = stp + 0.66 * (sty - stp)
@@ -429,13 +465,13 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     elif brackt:
         # Case 4: the slope does not shrink. Once bracketed, take the cubic
         # step through (sty, fy, dy) and (stp, fp, dp), else the step bound.
-        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        theta = _div(3.0 * (fp - fy), sty - stp) + dy + dp
         gamma = _gamma(theta, dy, dp)
         if stp > sty:
             gamma = -gamma
         p = (gamma - dp) + theta
         q = ((gamma - dp) + gamma) + dy
-        stpf = stp + p / q * (sty - stp)
+        stpf = stp + _div(p, q) * (sty - stp)
     elif stp > stx:
         stpf = stpmax
     else:
@@ -456,10 +492,20 @@ def _gamma(theta, da, db):
     """dcstep's ``gamma`` for the cubic with ``theta`` and end slopes ``da``
     and ``db``, before its sign is chosen."""
     s = max(abs(theta), abs(da), abs(db))
-    t = theta / s
-    v = t * t - (da / s) * (db / s)
+    t = _div(theta, s)
+    v = t * t - _div(da, s) * _div(db, s)
     # NaN passes through, as np.maximum(0.0, v) lets it.
     return s * math.sqrt(v if v > 0.0 or v != v else 0.0)
+
+
+def _div(a, b):
+    """``a / b`` as IEEE 754 divides: by a zero ``b``, inf with the product
+    of the signs, or NaN for 0 / 0 and NaN / 0."""
+    if b:
+        return a / b
+    if a != a or not a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def _fmax(a, b):

@@ -29,7 +29,6 @@ from .qcore import (
     BlochVector,
     DensityMatrix,
     _TINY,
-    _entropy_bits,
     mutual_information,
     partial_trace,
     relative_entropy,
@@ -174,7 +173,7 @@ def _reverse(inputs, legs: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
     for j in reversed(range(legs.shape[1])):
         a = inputs[j]
         g = g.reshape(len(legs), a.shape[-1], 2)
-        out[:, j] = a @ g
+        np.matmul(a, g, out=out[:, j])
         if j:
             g = legs[:, j] @ g.swapaxes(-1, -2)
     return out
@@ -194,6 +193,10 @@ def _bloch_vectors(coeffs: np.ndarray) -> np.ndarray:
     return 2.0**n * np.array([coeffs[index] for index in at])
 
 
+# The signs of n_j . r_j in qubit j's two outcomes.
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
 def _entropy_objective(coeffs: np.ndarray):
     """Values and gradients of ``H(q) - sum_j H(q_j)`` over a stack of points.
 
@@ -202,39 +205,48 @@ def _entropy_objective(coeffs: np.ndarray):
     q is the measured distribution and q_j qubit j's measured marginal.
 
     q is linear in each leg matrix, and ``sum_x q_x`` does not depend on the
-    directions, so the gradient of H(q) in the legs is the reverse pass with
-    adjoint ``-log2 q``. The marginal is read off T: ``q_j = (1 +- n_j . r_j) / 2``
-    with ``r_j`` from :func:`_bloch_vectors`. The gradient in ``n_j`` is
-    projected onto the tangent plane and divided by ``|v_j|``.
+    directions, so the gradient of H(q) in the legs is minus the reverse pass
+    with adjoint ``log2 q``, the logarithm that H(q) also takes. The marginal
+    is read off T: ``q_j = (1 +- n_j . r_j) / 2`` with ``r_j`` from
+    :func:`_bloch_vectors`. The gradient in ``n_j`` is projected onto the
+    tangent plane and divided by ``|v_j|``.
 
     The stack is cut into calls of at most ``_KERNEL_ENTRIES >> 2N`` rows,
     which bounds memory by N alone; every operation is row-wise, so the cut
     does not change a row's result.
     """
     n = coeffs.ndim
+    # Contiguous once, so that no kernel call copies it to flatten it.
+    coeffs = np.ascontiguousarray(coeffs)
     bloch = _bloch_vectors(coeffs)
+    half_bloch = bloch / 2.0
+    add = np.add.reduce
 
     def value_and_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = x.reshape(len(x), n, 3)
-        norm = np.sqrt((v * v).sum(axis=-1))[..., None]
+        norm = np.sqrt(add(v * v, axis=-1))[..., None]
         unit = v / norm
         legs = _leg_matrices(unit)
         q, inputs = _measured_distribution(coeffs, legs)
-        value = _entropy_bits(q)
-        d_legs = _reverse(inputs, legs, -np.log2(np.maximum(q, _TINY)))
-        grad = d_legs[..., 1:, 0] - d_legs[..., 1:, 1]
-        s = (unit * bloch).sum(axis=-1)
-        # p[:, j] and p[:, n + j] are the two outcomes of qubit j.
-        p = np.concatenate([1.0 + s, 1.0 - s], axis=1) / 2.0
-        value -= _entropy_bits(p)
+        # As in _entropy_bits: a weight below 0 counts as 0, and 0 log2 0 = 0.
+        log_q = np.log2(np.maximum(q, _TINY))
+        value = 0.0 - add(np.maximum(q, 0.0) * log_q, axis=-1)
+        d_legs = _reverse(inputs, legs, log_q)
+        grad = d_legs[..., 1:, 1] - d_legs[..., 1:, 0]
+        s = add(unit * bloch, axis=-1)
+        # p[:, 0, j] and p[:, 1, j] are the two outcomes of qubit j.
+        p = (1.0 + s[:, None] * _SIGNS) / 2.0
         log_p = np.log2(np.maximum(p, _TINY))
-        grad += (log_p[:, :n] - log_p[:, n:])[..., None] * bloch / 2.0
-        grad -= unit * (unit * grad).sum(axis=-1)[..., None]
+        value -= 0.0 - add((np.maximum(p, 0.0) * log_p).reshape(len(x), 2 * n), axis=-1)
+        grad += (log_p[:, 0] - log_p[:, 1])[..., None] * half_bloch
+        grad -= unit * add(unit * grad, axis=-1)[..., None]
         return value, (grad / norm).reshape(len(x), 3 * n)
 
     rows_per_call = max(1, _KERNEL_ENTRIES >> (2 * n))
 
     def fun(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(x) <= rows_per_call:
+            return value_and_grad(x)
         parts = [
             value_and_grad(x[i : i + rows_per_call])
             for i in range(0, len(x), rows_per_call)

@@ -351,6 +351,22 @@ class TestCompute:
         assert code == EXIT_QUBIT_LIMIT and out == ""
         assert f"{n} qubits, above the dense limit of 12" in err
 
+    # 4^N complex entries cannot be allocated at N = 25 (2^54 bytes, past any
+    # address space) and overflow NumPy's size type at N = 40. N = 13-16
+    # is never tried here: that allocation may succeed.
+    @pytest.mark.parametrize("n", [25, 40])
+    @pytest.mark.parametrize("family", [
+        {"kind": "werner_ghz", "mu": 0.5},
+        {"kind": "pauli_diagonal", "c1": 0.1, "c2": 0.2, "c3": 0.3},
+    ], ids=["werner_ghz", "pauli_diagonal"])
+    def test_state_too_large_to_build_is_a_qubit_limit(self, tmp_path, capsys, family, n):
+        doc = write_doc(tmp_path / "big.json", {**family, "n_qubits": n})
+        code, out, err = run_cli(
+            capsys, "compute", "--input", doc, "--method", "numeric", "--max-n", str(n)
+        )
+        assert code == EXIT_QUBIT_LIMIT and out == ""
+        assert err == f"error: state has {n} qubits, too many to build as a dense matrix\n"
+
     def test_closed_form_bypasses_qubit_limit(self, tmp_path, capsys):
         doc = write_doc(tmp_path / "w20.json", {"kind": "werner_ghz", "n_qubits": 20, "mu": 0.5})
         code, out, _ = run_cli(capsys, "compute", "--input", doc)

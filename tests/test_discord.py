@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gqd import checks, measurement
+from gqd import checks, lbfgs, measurement
 from gqd.checks import check_mixed_marginal_shortcut, random_valid_pauli_params
 from gqd.discord import (
     GqdResult,
@@ -613,6 +613,27 @@ class TestOptimizerOptions:
         with pytest.raises(InvalidParamsError, match=next(iter(kwargs))):
             OptimizerOptions(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, rule",
+        [
+            ({"f_tol": np.float64(1e-8)}, "f_tol must be a plain int or float"),
+            ({"f_tol": np.float32(1e-8)}, "f_tol must be a plain int or float"),
+            ({"f_tol": True}, "f_tol must be a plain int or float"),
+            ({"f_tol": "a"}, "f_tol must be a plain int or float"),
+            ({"seed": np.int64(3)}, "seed must be a plain int"),
+            ({"seed": True}, "seed must be a plain int"),
+            ({"starts": np.int64(3)}, "starts must be a plain int"),
+            ({"max_qubits": False}, "max_qubits must be a plain int"),
+            ({"threads": 1.0}, "threads must be a plain int"),
+        ],
+    )
+    def test_type_error_names_the_type_rule(self, kwargs, rule):
+        # NumPy scalars and bools are rejected for their type, not their
+        # value: np.float64(1e-8) is finite and >= 0.
+        with pytest.raises(InvalidParamsError) as info:
+            OptimizerOptions(**kwargs)
+        assert str(info.value) == f"{rule}, got {next(iter(kwargs.values()))!r}"
+
     def test_accepts_the_boundaries(self):
         opts = OptimizerOptions(f_tol=0.0, max_evals_per_start=1, starts=1, threads=1)
         res = gqd_numeric(werner_ghz_state(WernerGhzParams(2, 0.5)), opts)
@@ -770,6 +791,18 @@ def two_wells(x):
     return value, grad
 
 
+def frozen_found_every_minimum(done: np.ndarray, running: np.ndarray) -> bool:
+    """A fixed copy of the stopping rule, written with NumPy reductions."""
+    k = done.size
+    f = np.sort(done)
+    w = 1 + int(np.count_nonzero(np.diff(f) > _AGREE_TOL))
+    return (
+        k > w + 2
+        and w * (k - 1) / (k - w - 2) < w + 0.5
+        and not np.any(running < f[0] - _AGREE_TOL)
+    )
+
+
 class TestStoppingRule:
     """The stack stops once the finished starts have found every minimum."""
 
@@ -794,6 +827,23 @@ class TestStoppingRule:
         # One minimum needs 8 finished starts, two need 17: the least k with
         # w (k - 1) / (k - w - 2) < w + 0.5.
         assert _found_every_minimum(np.array(done), np.array(running)) is stops
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_frozen_numpy_copy(self, seed):
+        # Values on a grid of _AGREE_TOL / 2, so that sorted neighbours tie,
+        # lie within the tolerance or exactly at it, with NaN and infinities.
+        rng = np.random.default_rng(RNG_SEED + seed)
+        specials = [math.nan, math.inf, -math.inf]
+        for _ in range(300):
+            done = (rng.integers(0, 6, rng.integers(0, 20)) * (_AGREE_TOL / 2)).tolist()
+            running = (rng.integers(-3, 6, rng.integers(0, 6)) * (_AGREE_TOL / 2)).tolist()
+            if rng.random() < 0.3:
+                running.append(specials[rng.integers(3)])
+            if rng.random() < 0.1:
+                done.append(specials[rng.integers(3)])
+            done, running = np.array(done), np.array(running)
+            want = frozen_found_every_minimum(done, running)
+            assert _found_every_minimum(done, running) is want, (done, running)
 
     def test_default_solve_stops_the_stack_early(self):
         rho = random_density_matrix(2, np.random.default_rng(RNG_SEED + 80))
@@ -878,6 +928,35 @@ class TestPinnedSolves:
                 diag.starts_agreeing, diag.converged) == counts
         assert [(d.x.hex(), d.y.hex(), d.z.hex())
                 for d in result.optimal_measurement.directions] == directions
+
+
+# The solves of PINNED_GQD at N = 2 and 3 with the line search cut to one
+# or two trials, pinned bit for bit as there. Searches then fail (14 and 37
+# with one trial, 1 and 9 with two): a row with pairs in memory forgets them
+# and restarts along -g, and one without stops unconverged. The same minima
+# are found, so the measurements are those of PINNED_GQD.
+PINNED_SHORT_SEARCHES = {
+    (2, 1): ("0x1.90e3359148f90p-3", "0x1.21539afb9a737p-24", (120, 90, 16, 8, True)),
+    (2, 2): ("0x1.90e3359148f90p-3", "0x1.21539afb9a737p-24", (185, 154, 9, 8, True)),
+    (3, 1): ("0x1.631a282810a06p-2", "0x1.5eb18937383d4p-25", (234, 173, 24, 7, True)),
+    (3, 2): ("0x1.631a282810a06p-2", "0x1.5eb18937383d4p-25", (370, 308, 12, 8, True)),
+}
+
+
+class TestPinnedShortSearches:
+    @pytest.mark.parametrize("n, max_trials", sorted(PINNED_SHORT_SEARCHES))
+    def test_solve(self, monkeypatch, n, max_trials):
+        monkeypatch.setattr(lbfgs, "_MAX_TRIALS", max_trials)
+        raw_value, grad_norm, counts = PINNED_SHORT_SEARCHES[n, max_trials]
+        rho = random_density_matrix(n, np.random.default_rng(21))
+        result = gqd_numeric(rho, OptimizerOptions(seed=5))
+        diag = result.diagnostics
+        assert diag.raw_value.hex() == raw_value
+        assert diag.grad_norm.hex() == grad_norm
+        assert (diag.evaluations, diag.iterations, diag.starts_finished,
+                diag.starts_agreeing, diag.converged) == counts
+        assert [(d.x.hex(), d.y.hex(), d.z.hex())
+                for d in result.optimal_measurement.directions] == PINNED_GQD[n][4]
 
 
 class TestCorrelationStart:

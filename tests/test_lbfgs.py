@@ -1,5 +1,8 @@
 """Tests for the stacked L-BFGS minimizer."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,18 @@ class TestScipyDcstep:
             assert bool(got[7]) == bool(ref[7]), args
             cases.add((case, args[9], args[6] > args[0]))
         assert len(cases) == 16
+
+
+class TestDiv:
+    def test_divides_as_ieee_754(self):
+        # dcsrch runs on Python floats, whose division by zero raises; _div
+        # gives what NumPy's float64 division gives, NaN up to its sign.
+        values = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan, 1e308, 5e-324]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for a, b in itertools.product(values, repeat=2):
+                got, want = lbfgs._div(a, b), float(np.float64(a) / np.float64(b))
+                assert type(got) is float
+                assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want)), (a, b)
 
 
 # Per-start results of default solves (seed 9, on a Ginibre state drawn with

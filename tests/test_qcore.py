@@ -382,6 +382,18 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information(maximally_mixed(1))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_is_the_sum_of_its_entropies_bit_for_bit(self, n):
+        # Pure and mixed states, and one with an exactly I/2 marginal.
+        rng = np.random.default_rng(RNG_SEED + n)
+        states = [random_density_matrix(n, rng), ghz(n),
+                  DensityMatrix(np.kron(np.eye(2) / 2, random_density_matrix(n - 1, rng).matrix))]
+        for rho in states:
+            total = -von_neumann_entropy(rho)
+            for q in range(n):
+                total += von_neumann_entropy(partial_trace(rho, {q}))
+            assert mutual_information(rho).hex() == total.hex()
+
 
 class TestBlochRotation:
     def test_identity_maps_to_identity(self):
