@@ -518,7 +518,7 @@ def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
     res = minimize_stacked(
         fun, points, opts.max_evals_per_start, opts.f_tol, _GRAD_TOL, _found_every_minimum
     )
-    best = int(np.where(res.finished, res.fun, np.inf).argmin())
+    best = int(np.argmin(np.where(res.finished, res.fun, np.inf)))
     # The tangent gradient is |v_j| times the gradient in v_j.
     v, jac = res.x[best].reshape(-1, 3), res.jac[best].reshape(-1, 3)
     grad_norm = np.sqrt((v * v).sum(axis=1) * (jac * jac).sum(axis=1)).max()
@@ -526,8 +526,8 @@ def _run_starts(fun, points, opts: OptimizerOptions, offset: float):
     diag = OptimizerDiagnostics(
         starts=len(points),
         starts_finished=int(np.count_nonzero(res.finished)),
-        iterations=sum(res.nit.tolist()),
-        evaluations=sum(res.nfev.tolist()),
+        iterations=int(res.nit.sum()),
+        evaluations=int(res.nfev.sum()),
         starts_agreeing=int(np.count_nonzero(agreeing)),
         grad_norm=float(grad_norm),
         seed=opts.seed,

@@ -63,8 +63,7 @@ def minimize_stacked(
     """Minimize from every row of ``x0`` with the stacked L-BFGS iteration.
 
     ``fun(X)`` maps an ``(R, D)`` stack of points to the values ``(R,)`` and
-    gradients ``(R, D)``, new arrays on every call, which the rows keep
-    without a copy. A row stops once the largest gradient component is
+    gradients ``(R, D)``. A row stops once the largest gradient component is
     at most ``g_tol``, or once an iteration lowers its value by at most
     ``f_tol * max(|f_old|, |f_new|, 1)``. It also stops, unconverged, when an
     iteration ends with more than ``max_evals`` evaluations, when its line
@@ -110,7 +109,7 @@ def minimize_stacked(
         x_trial = runs.x + step
         f_trial, g_trial = fun(x_trial)
         nfev += 1
-        slope = np.add.reduce(g_trial * runs.d, axis=1)
+        slope = (g_trial * runs.d).sum(axis=1)
         ended, failed, stalled = runs.search_step(f_trial, slope)
         stop, converged = runs.accept(
             ended, step, x_trial, f_trial, g_trial, slope, nfev > max_evals, f_tol, g_tol
@@ -152,8 +151,7 @@ class _Runs:
         # pair first and zero past the `col` valid pairs: the pairs (s_i, y_i)
         # of steps and gradient changes, s_i.y_i, the Gram matrix y_i.y_j, and
         # the inverse of the upper triangle R_ij = s_i.y_j (i <= j); h0 scales
-        # the initial inverse Hessian. Zero slots add nothing to a product,
-        # and the products with the pairs skip the slots that no row fills.
+        # the initial inverse Hessian. Zero slots add nothing to a product.
         self.pairs = np.zeros((n, _MEMORY, 2, dim))
         self.sy_mem = np.zeros((n, _MEMORY))
         self.yy_mem = np.zeros((n, _MEMORY, _MEMORY))
@@ -207,7 +205,7 @@ class _Runs:
         else:
             scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f_trial)), 1.0)
             converged = ended & (
-                (np.maximum.reduce(np.abs(g_trial), axis=1) <= g_tol)
+                (np.abs(g_trial).max(axis=1) <= g_tol)
                 | (f_old - f_trial <= f_tol * scale)
             )
             stop = converged.copy()
@@ -215,19 +213,16 @@ class _Runs:
         stp, ginit = self.stp, self.ginit
         # s.y from the line search's slopes, as L-BFGS-B computes it.
         sy = (slope - ginit) * stp
-        k = (go_on & (sy > -_EPS * (ginit * stp))).nonzero()[0]
+        k = (go_on & (sy > _EPS * (-ginit * stp))).nonzero()[0]
         if k.size:
             # The pairs (s, y) of every row, then of the rows k.
             pair = np.empty((len(slope), 2, step.shape[1]))
             pair[:, 0] = step
             np.subtract(g_trial, self.g, out=pair[:, 1])
             self._remember(k, pair.take(k, axis=0), sy[k])
-        if np.count_nonzero(ended) == ended.size:
-            self.x, self.f, self.g = x_trial, f_trial, g_trial
-        else:
-            np.copyto(self.x, x_trial, where=ended[:, None])
-            np.copyto(self.f, f_trial, where=ended)
-            np.copyto(self.g, g_trial, where=ended[:, None])
+        np.copyto(self.x, x_trial, where=ended[:, None])
+        np.copyto(self.f, f_trial, where=ended)
+        np.copyto(self.g, g_trial, where=ended[:, None])
         self.nit += ended
         return stop, converged
 
@@ -235,41 +230,33 @@ class _Runs:
         """Append ``pair``, the pairs (s, y) with curvatures sy, to the memory
         of rows k, dropping the oldest pair of a full memory."""
         c = self.col[k]
-        if np.count_nonzero(c == _MEMORY):
+        full = k[c == _MEMORY]
+        if full.size:
             # R and the Gram matrix of the newer pairs are the trailing
             # blocks, and so is the inverse of R, as R is triangular. The
-            # freed slot of each memory is written below. The last column of
-            # R^-1, from which its new column is computed, is zeroed; its
-            # last row holds (signed) zeros already, but for that column's
-            # entry, and a zero of either sign adds nothing to a product.
-            full = k[c == _MEMORY]
+            # freed slot of each memory is written below. R^-1 also needs
+            # zeros in its last row, below its diagonal, and in its last
+            # column, from which its new column is computed.
             for mem in (self.pairs, self.sy_mem):
-                mem[full, :-1] = mem.take(full, axis=0)[:, 1:]
+                mem[full, :-1] = mem[full, 1:]
             for mat in (self.yy_mem, self.r_inv):
-                mat[full, :-1, :-1] = mat.take(full, axis=0)[:, 1:, 1:]
-            self.r_inv[full, :, -1] = 0.0
+                mat[full, :-1, :-1] = mat[full, 1:, 1:]
+            self.r_inv[full, -1] = self.r_inv[full, :, -1] = 0.0
             c = np.minimum(c, _MEMORY - 1)
         self.pairs[k, c] = pair
         self.sy_mem[k, c] = sy
         # (s_i.y, y_i.y) for every slot, the new one included.
-        dots = self._dots(self.pairs.take(k, axis=0), pair[:, 1], max(c.tolist()) + 1)
-        yy = dots[:, :, 1, 0]
+        dots = (self.pairs[k] @ pair[:, 1, None, :, None])[..., 0]
+        yy = dots[..., 1]
         self.yy_mem[k, c], self.yy_mem[k, :, c] = yy, yy
         # The new column of R is (s_i.y)_i with sy on the diagonal, so the new
         # column of its inverse is -R^-1 (s_i.y)_(i<c) / sy with 1 / sy below.
-        self.r_inv[k, :, c] = (self.r_inv.take(k, axis=0) @ dots[:, :, 0])[..., 0] / -sy[:, None]
-        self.r_inv[k, c, c] = 1.0 / sy
+        r_col = (self.r_inv[k] @ dots[..., :1])[..., 0] / -sy[:, None]
+        rows = np.arange(k.size)
+        r_col[rows, c] = 1.0 / sy
+        self.r_inv[k, :, c] = r_col
         self.col[k] = c + 1
-        self.h0[k] = sy / self.yy_mem[k, c, c]
-
-    @staticmethod
-    def _dots(pairs, v, used):
-        """``(s_i.v, y_i.v)`` for every slot i, as an ``(n, _MEMORY, 2, 1)``
-        array: one (2 x D) product per slot of the first ``used``, whose
-        later slots are empty in every row, and exactly 0.0 past them."""
-        dots = np.zeros((len(v), _MEMORY, 2, 1))
-        dots[:, :used] = pairs[:, :used] @ v[:, None, :, None]
-        return dots
+        self.h0[k] = sy / yy[rows, c]
 
     def start_search(self, start: np.ndarray) -> np.ndarray:
         """New direction, unit step and dcsrch start for the rows in the mask
@@ -279,12 +266,11 @@ class _Runs:
         ``start``. Returns the mask of the rows that cannot descend: their
         direction is not downhill even with an empty memory.
         """
-        started = np.count_nonzero(start)
-        if not started:
+        if not np.count_nonzero(start):
             return start
         g = self.g
         d = self._descent(g)
-        gd = np.add.reduce(g * d, axis=1)
+        gd = (g * d).sum(axis=1)
         stuck = uphill = start & (gd >= 0.0)
         if np.count_nonzero(uphill):
             # L-BFGS-B drops its memory and steps along -g instead.
@@ -292,14 +278,10 @@ class _Runs:
             d[uphill] = -g[uphill]
             gd[uphill] = (g[uphill] * d[uphill]).sum(axis=1)
             stuck = uphill & ~(gd < 0.0)
-        if started == start.size:
-            self.d, self.stp, self.ginit = d, np.ones(started), gd
-            self.search = np.empty(started, dtype=object)
-        else:
-            np.copyto(self.d, d, where=start[:, None])
-            np.copyto(self.stp, 1.0, where=start)
-            np.copyto(self.ginit, gd, where=start)
-            self.search[start] = None
+        np.copyto(self.d, d, where=start[:, None])
+        np.copyto(self.stp, 1.0, where=start)
+        np.copyto(self.ginit, gd, where=start)
+        self.search[start] = None
         return stuck
 
     def _descent(self, g: np.ndarray) -> np.ndarray:
@@ -310,9 +292,9 @@ class _Runs:
         Schnabel (Math. Program. 63 (1994) 129), Theorem 2.2.
         """
         h0 = self.h0[:, None, None]
-        dots = self._dots(self.pairs, g, max(self.col.tolist()))  # (s_i.g, y_i.g)
-        w = self.r_inv @ dots[:, :, 0]
-        z = self.sy_mem[:, :, None] * w + h0 * (self.yy_mem @ w - dots[:, :, 1])
+        dots = (self.pairs @ g[:, None, :, None])[..., 0]  # (s_i.g, y_i.g)
+        w = self.r_inv @ dots[..., :1]
+        z = self.sy_mem[:, :, None] * w + h0 * (self.yy_mem @ w - dots[..., 1:])
         # Coefficients of s_i and y_i in H g - h0 g.
         coef = np.concatenate([self.r_inv.transpose(0, 2, 1) @ z, -h0 * w], axis=2)
         n, dim = g.shape
@@ -330,7 +312,7 @@ class _Runs:
         trial step in ``stp``.
         """
         ftest = self.f + self.stp * (_LS_FTOL * self.ginit)
-        ended = (f <= ftest) & (np.abs(g) <= -_LS_GTOL * self.ginit)
+        ended = (f <= ftest) & (np.abs(g) <= _LS_GTOL * -self.ginit)
         failed, stalled = [], []
         if np.count_nonzero(ended) < ended.size:
             for i in (~ended).nonzero()[0].tolist():

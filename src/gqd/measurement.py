@@ -193,10 +193,6 @@ def _bloch_vectors(coeffs: np.ndarray) -> np.ndarray:
     return 2.0**n * np.array([coeffs[index] for index in at])
 
 
-# The signs of n_j . r_j in qubit j's two outcomes.
-_SIGNS = np.array([[1.0], [-1.0]])
-
-
 def _entropy_objective(coeffs: np.ndarray):
     """Values and gradients of ``H(q) - sum_j H(q_j)`` over a stack of points.
 
@@ -219,27 +215,25 @@ def _entropy_objective(coeffs: np.ndarray):
     # Contiguous once, so that no kernel call copies it to flatten it.
     coeffs = np.ascontiguousarray(coeffs)
     bloch = _bloch_vectors(coeffs)
-    half_bloch = bloch / 2.0
-    add = np.add.reduce
 
     def value_and_grad(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = x.reshape(len(x), n, 3)
-        norm = np.sqrt(add(v * v, axis=-1))[..., None]
+        norm = np.sqrt((v * v).sum(axis=-1))[..., None]
         unit = v / norm
         legs = _leg_matrices(unit)
         q, inputs = _measured_distribution(coeffs, legs)
         # As in _entropy_bits: a weight below 0 counts as 0, and 0 log2 0 = 0.
         log_q = np.log2(np.maximum(q, _TINY))
-        value = 0.0 - add(np.maximum(q, 0.0) * log_q, axis=-1)
+        value = 0.0 - (np.maximum(q, 0.0) * log_q).sum(axis=-1)
         d_legs = _reverse(inputs, legs, log_q)
         grad = d_legs[..., 1:, 1] - d_legs[..., 1:, 0]
-        s = add(unit * bloch, axis=-1)
-        # p[:, 0, j] and p[:, 1, j] are the two outcomes of qubit j.
-        p = (1.0 + s[:, None] * _SIGNS) / 2.0
+        s = (unit * bloch).sum(axis=-1)
+        # p[:, j] and p[:, n + j] are the two outcomes of qubit j.
+        p = np.concatenate([1.0 + s, 1.0 - s], axis=1) / 2.0
         log_p = np.log2(np.maximum(p, _TINY))
-        value -= 0.0 - add((np.maximum(p, 0.0) * log_p).reshape(len(x), 2 * n), axis=-1)
-        grad += (log_p[:, 0] - log_p[:, 1])[..., None] * half_bloch
-        grad -= unit * add(unit * grad, axis=-1)[..., None]
+        value -= 0.0 - (np.maximum(p, 0.0) * log_p).sum(axis=-1)
+        grad += (log_p[:, :n] - log_p[:, n:])[..., None] * bloch / 2.0
+        grad -= unit * (unit * grad).sum(axis=-1)[..., None]
         return value, (grad / norm).reshape(len(x), 3 * n)
 
     rows_per_call = max(1, _KERNEL_ENTRIES >> (2 * n))

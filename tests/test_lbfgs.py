@@ -49,6 +49,43 @@ class TestStackedLbfgs:
             for field in ("x", "fun", "jac", "nit", "nfev", "converged"):
                 assert np.array_equal(getattr(alone, field)[0], getattr(stacked, field)[k])
 
+    def test_fun_may_return_a_reused_gradient_buffer(self):
+        # The rows copy what fun returns, so a fun that writes every
+        # gradient into one buffer per stack size runs as one that
+        # returns new arrays.
+        buffers = {}
+
+        def reusing(x):
+            value, grad = rosenbrock(x)
+            buffer = buffers.setdefault(grad.shape, np.empty(grad.shape))
+            buffer[...] = grad
+            return value, buffer
+
+        fresh, reused = minimize(STARTS), minimize_stacked(reusing, STARTS, 2000, 1e-10, 1e-7)
+        for field in ("x", "fun", "jac", "nit", "nfev", "converged"):
+            assert np.array_equal(getattr(reused, field), getattr(fresh, field))
+
+    def test_infinite_gradient_entry_makes_a_nan_direction(self):
+        # Row 0's gradient has an infinite entry at its start. Every product
+        # with its memory, empty slots included, reads 0 * inf = NaN, so its
+        # direction and then its point are NaN; it stops unconverged after
+        # one step, as it does alone. The other rows are not touched.
+        def spiked(x):
+            grad = x.copy()
+            grad[np.abs(x[:, 0]) > 2.5, 1] = np.inf
+            return 0.5 * (x * x).sum(axis=1), grad
+
+        x0 = np.array([[3.0, 1.0, 0.5], [1.0, -2.0, 0.3], [-2.0, 1.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            res = minimize_stacked(spiked, x0, 100, 1e-10, 1e-7)
+            alone = [minimize_stacked(spiked, row[None], 100, 1e-10, 1e-7) for row in x0]
+        assert res.nfev.tolist() == [3, 3, 3] and res.nit.tolist() == [1, 2, 2]
+        assert res.converged.tolist() == [False, True, True]
+        assert np.isnan(res.x[0]).all() and np.isnan(res.fun[0])
+        for k, row in enumerate(alone):
+            for field in ("x", "fun", "jac", "nit", "nfev", "converged"):
+                assert np.array_equal(getattr(row, field)[0], getattr(res, field)[k], equal_nan=True)
+
     def test_stationary_start_stops_before_any_step(self):
         res = minimize(np.ones((2, 3)))
         assert res.converged.all()
