@@ -13,13 +13,24 @@ import contextlib
 import io
 import json
 import math
+import struct
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gqd.cli import EXIT_INVALID_INPUT, EXIT_OK, EXIT_QUBIT_LIMIT, main
+import gqd.cli
+from gqd.cli import (
+    EXIT_INVALID_INPUT,
+    EXIT_OK,
+    EXIT_QUBIT_LIMIT,
+    StateDocument,
+    load_state_document,
+    main,
+    save_state_document,
+)
 from gqd.discord import (
     InvalidParamsError,
     OptimizerOptions,
@@ -290,3 +301,147 @@ def test_optimizer_options_are_valid_or_rejected(kwargs):
         assert opts.max_qubits < 2
         return
     assert_finite([res.value, res.diagnostics.raw_value, res.diagnostics.grad_norm])
+
+
+# The reader contract: load_state_document parses a dense document with
+# orjson where that gives json's outcome, and everything else with json.
+# Each document is loaded twice, the second time with orjson made to fail,
+# and both loads must end the same way: the same document bit for bit, or
+# the same exception type and message.
+
+
+def read_outcome(path):
+    """What ``load_state_document`` makes of ``path``: every field, floats
+    and the matrix as bytes, or the exception's type and message."""
+    try:
+        doc = load_state_document(str(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+    floats = [struct.pack("<d", v) for v in (doc.mu, *(doc.coefficients or ())) if v is not None]
+    matrix = None
+    if doc.matrix is not None:
+        matrix = (doc.matrix.dtype.str, doc.matrix.shape, doc.matrix.tobytes())
+    return doc.kind, type(doc.n_qubits), doc.n_qubits, floats, matrix
+
+
+def orjson_fails(*args, **kwargs):
+    raise orjson.JSONDecodeError("made to fail", "", 0)
+
+
+def assert_readers_agree(path):
+    fast = read_outcome(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gqd.cli.orjson, "loads", orjson_fails)
+        assert read_outcome(path) == fast
+
+
+@settings(SETTINGS, max_examples=300)
+@given(doc=st.one_of(documents(), broken_documents()))
+def test_readers_agree_on_documents(workdir, doc):
+    path = workdir / "reader.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_readers_agree(path)
+
+
+_SMALL = json.dumps(grid(np.eye(2) / 2))
+
+
+def dense_text(n=1, matrix=_SMALL, extra="") -> str:
+    """A dense document as text, ``extra`` holding more fields."""
+    return f'{{"kind": "dense", "n_qubits": {n}, {extra}"matrix": {matrix}}}'
+
+
+def deep(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+_BIG_INTS = [10**20, 2**64, -(2**64) - 1, 2**63, 10**20 + 1, 0, 2**64 - 1, -(2**63) - 1]
+READER_CASES = {
+    **{
+        f"n_qubits={n}-{kind}": text
+        for n in [2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63) - 1, 10**20]
+        for kind, text in [
+            ("dense", dense_text(n)),
+            ("werner_ghz", f'{{"kind": "werner_ghz", "n_qubits": {n}, "mu": 0.5}}'),
+            ("werner_ghz-int-mu", f'{{"kind": "werner_ghz", "n_qubits": {n}, "mu": 1}}'),
+        ]
+    },
+    "kind-beyond-64-bits": f'{{"kind": {10**20}, "n_qubits": 1, "matrix": {_SMALL}}}',
+    "matrix-ints-beyond-64-bits": dense_text(matrix=json.dumps(np.reshape(_BIG_INTS, (2, 2, 2)).tolist())),
+    "matrix-1e400": dense_text(matrix="[[[1e400, 0], [0, 0]], [[0, 0], [-1e400, 0]]]"),
+    "lone-surrogate-kind": '{"kind": "\\ud800", "n_qubits": 1}',
+    "lone-surrogate-field": dense_text(extra='"note": "\\udc00", '),
+    "bom": "\ufeff" + dense_text(),
+    "crlf": json.dumps(json.loads(dense_text()), indent=1).replace("\n", "\r\n"),
+    "crlf-broken": json.dumps(json.loads(dense_text()), indent=1).replace("\n", "\r\n") + "\r\n]",
+    "n_qubits-5000-digits": dense_text(n="9" * 5000),
+    "matrix-5000-digits": dense_text(matrix=f"[[[{'9' * 5000}, 0], [0, 0]], [[0, 0], [0, 0]]]"),
+    **{
+        f"{where}-depth-{depth}": text
+        for depth in [1025, 5000]
+        for where, text in [
+            ("matrix", dense_text(matrix=deep(depth))),
+            ("field", dense_text(extra=f'"note": {deep(depth)}, ')),
+            ("duplicate-matrix", dense_text(extra=f'"matrix": {deep(depth)}, ')),
+            ("duplicate-n_qubits", f'{{"n_qubits": {deep(depth)}, ' + dense_text()[1:]),
+            ("werner_ghz-matrix", f'{{"kind": "werner_ghz", "n_qubits": 2, "mu": 1, "matrix": {deep(depth)}}}'),
+        ]
+    },
+    "duplicate-matrix-junk-first": dense_text(extra='"matrix": [1, "x"], '),
+    "duplicate-matrix-junk-last": dense_text(extra=f'"matrix": {_SMALL}, ', matrix='[[["x", 0]]]'),
+    "duplicate-matrix-valid-twice": dense_text(extra=f'"matrix": {json.dumps(grid(np.eye(2)))}, '),
+    "duplicate-object-field": dense_text(extra='"n_qubits": {"a": 1}, '),
+    "brackets-in-a-string": dense_text(extra='"note": "[[{", '),
+    "top-level-list": f"[{dense_text()}]",
+    "top-level-null": "null",
+}
+
+
+@pytest.mark.parametrize("text", list(READER_CASES.values()), ids=list(READER_CASES))
+def test_readers_agree_on_pinned_cases(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert_readers_agree(path)
+
+
+def test_readers_agree_on_bytes_that_are_not_utf_8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"kind": "dense\xff", "n_qubits": 1}')
+    assert_readers_agree(path)
+
+
+def test_readers_agree_on_non_finite_matrices(tmp_path):
+    # save_state_document writes NaN, Infinity and -Infinity, which json
+    # reads and orjson rejects.
+    path = tmp_path / "doc.json"
+    matrix = np.array([[math.nan, complex(0.0, math.inf)], [-math.inf, 0.5]])
+    save_state_document(str(path), StateDocument("dense", 1, matrix=matrix))
+    assert_readers_agree(path)
+    assert np.array_equal(load_state_document(str(path)).matrix, matrix, equal_nan=True)
+
+
+def test_huge_qubit_count_stays_an_integer(tmp_path):
+    # orjson reads 10**20 as a float; json's integer reaches the closed form.
+    path = tmp_path / "doc.json"
+    path.write_text(READER_CASES[f"n_qubits={10**20}-werner_ghz"], encoding="utf-8")
+    assert load_state_document(str(path)).n_qubits == 10**20
+    code, out, err = run_main(["compute", "--input", str(path)])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["value"] == 0.5
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_dense_documents_take_the_orjson_path(tmp_path, monkeypatch, n):
+    # Without this, a fast path that is never taken would pass every test
+    # above.
+    def json_fails(*args, **kwargs):
+        raise AssertionError("json read a document that orjson reads")
+
+    monkeypatch.setattr(json, "load", json_fails)
+    doc = StateDocument("dense", n, matrix=random_density_matrix(n, np.random.default_rng(n)).matrix)
+    path = tmp_path / "doc.json"
+    save_state_document(str(path), doc)
+    back = load_state_document(str(path))
+    assert (back.kind, back.n_qubits) == ("dense", n)
+    assert (back.matrix.dtype, back.matrix.shape) == (doc.matrix.dtype, doc.matrix.shape)
+    assert back.matrix.tobytes() == doc.matrix.tobytes()

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from importlib.metadata import EntryPoint
@@ -53,6 +54,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH, for
+    a child interpreter."""
+    env = dict(os.environ)
+    package_root = str(Path(gqd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
 
 
 def forbid_grids(monkeypatch):
@@ -352,20 +362,41 @@ class TestCompute:
         assert f"{n} qubits, above the dense limit of 12" in err
 
     # 4^N complex entries cannot be allocated at N = 25 (2^54 bytes, past any
-    # address space) and overflow NumPy's size type at N = 40. N = 13-16
-    # is never tried here: that allocation may succeed.
-    @pytest.mark.parametrize("n", [25, 40])
+    # address space) and overflow NumPy's size type from N = 30 on. N = 13-16
+    # is never tried here: that allocation may succeed. At N = 10**12 and
+    # 2**63 the size is decided without building 4**N, a 2N-bit integer.
+    @pytest.mark.parametrize("n", [25, 40, 10**12, 2**63])
     @pytest.mark.parametrize("family", [
         {"kind": "werner_ghz", "mu": 0.5},
         {"kind": "pauli_diagonal", "c1": 0.1, "c2": 0.2, "c3": 0.3},
     ], ids=["werner_ghz", "pauli_diagonal"])
     def test_state_too_large_to_build_is_a_qubit_limit(self, tmp_path, capsys, family, n):
         doc = write_doc(tmp_path / "big.json", {**family, "n_qubits": n})
+        t0 = time.perf_counter()
         code, out, err = run_cli(
             capsys, "compute", "--input", doc, "--method", "numeric", "--max-n", str(n)
         )
+        assert time.perf_counter() - t0 < 1.0
         assert code == EXIT_QUBIT_LIMIT and out == ""
         assert err == f"error: state has {n} qubits, too many to build as a dense matrix\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_reads_a_dense_document_from_a_pipe(self, tmp_path, capsys):
+        # The document is read once, so a pipe gives the answer that a file
+        # gives.
+        doc = StateDocument("dense", 2, matrix=random_density_matrix(2, np.random.default_rng(5)).matrix)
+        path = tmp_path / "doc.json"
+        save_state_document(str(path), doc)
+        code, out, _ = run_cli(capsys, "compute", "--input", str(path))
+        assert code == EXIT_OK
+        proc = subprocess.run(
+            [sys.executable, "-m", "gqd.cli", "compute", "--input", "/dev/stdin"],
+            input=path.read_text(encoding="utf-8"), capture_output=True, text=True,
+            timeout=120, env=child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        piped, direct = json.loads(proc.stdout), json.loads(out)
+        assert (piped["value"], piped["optimal_measurement"]) == (direct["value"], direct["optimal_measurement"])
 
     def test_closed_form_bypasses_qubit_limit(self, tmp_path, capsys):
         doc = write_doc(tmp_path / "w20.json", {"kind": "werner_ghz", "n_qubits": 20, "mu": 0.5})
@@ -901,10 +932,8 @@ class TestEntryPoint:
         )
         script.chmod(0o755)
 
-        env = dict(os.environ)
-        package_root = str(Path(gqd.__file__).resolve().parents[1])
+        env = child_env()
         env["PATH"] = os.pathsep.join(filter(None, [str(bin_dir), env.get("PATH")]))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
 
         exe = shutil.which("gqd", path=env["PATH"])
         assert exe == str(script), "the built console script should come first on PATH"
@@ -920,23 +949,28 @@ class TestEntryPoint:
         assert out_path.read_text(encoding="utf-8").startswith("mu,n,gqd_bits")
 
 
+def modules_after(statement: str) -> set[str]:
+    """The modules that a fresh interpreter holds after ``statement``: only
+    what the imports pull in."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(' '.join(sys.modules))"],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
 class TestImportFootprint:
     def test_import_loads_no_scipy(self):
-        # The package and its CLI run on NumPy alone; SciPy is only a test
-        # reference. Checked in a fresh interpreter, whose module table holds
-        # only what the imports pull in.
-        env = dict(os.environ)
-        package_root = str(Path(gqd.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        code = (
-            "import sys, gqd, gqd.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        # The package runs on NumPy alone and its CLI on NumPy and orjson;
+        # SciPy is only a test reference.
+        modules = modules_after("import gqd, gqd.cli")
+        assert not {m for m in modules if m.split(".")[0] == "scipy"}
+
+    def test_import_loads_neither_the_cli_nor_orjson(self):
+        # Only the CLI reads documents, so a plain import of the package,
+        # which every workload's set-up times, pays for neither.
+        assert not modules_after("import gqd") & {"gqd.cli", "orjson"}
 
     def test_scipy_is_not_a_runtime_dependency(self):
         try:
@@ -946,4 +980,4 @@ class TestImportFootprint:
         with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
             project = tomllib.load(fh)["project"]
         names = [d.split(">")[0].split("=")[0].strip() for d in project["dependencies"]]
-        assert "numpy" in names and "scipy" not in names
+        assert "numpy" in names and "orjson" in names and "scipy" not in names

@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from gqd.discord import (
     _AGREE_TOL,
     _GRAD_TOL,
     _correlation_start,
+    _dense_dim,
     _found_every_minimum,
     _pauli_weights,
     _run_starts,
@@ -311,6 +313,32 @@ class TestPauliDiagonalFamily:
             with pytest.raises(InvalidParamsError, match="beyond the float range"):
                 PauliDiagonalParams(2, *coeffs)
         assert PauliDiagonalParams(2, np.int64(0), np.float64(0.5), 0).c2 == 0.5
+
+
+class TestDenseBuilders:
+    # From N = 30 on, 4^N complex entries of 16 bytes overflow NumPy's size
+    # type. The builders decide that on N alone, so N = 10**12 or 2**63
+    # never builds 2**N, an integer of N bits.
+    @pytest.mark.parametrize("n", [30, 10**12, 2**63])
+    @pytest.mark.parametrize("build", [
+        lambda n: werner_ghz_state(WernerGhzParams(n, 0.5)),
+        lambda n: pauli_diagonal_state(PauliDiagonalParams(n, 0.1, 0.2, 0.3)),
+    ], ids=["werner_ghz", "pauli_diagonal"])
+    def test_state_too_large_to_build_is_a_qubit_limit(self, build, n):
+        with pytest.raises(QubitLimitError) as info:
+            build(n)
+        assert str(info.value) == f"state has {n} qubits, too many to build as a dense matrix"
+
+    def test_size_rule_is_the_byte_count_rule(self):
+        # The exponent rule agrees with 16 * 4**n > sys.maxsize, the test it
+        # replaces, wherever that test is cheap.
+        for n in range(300):
+            try:
+                _dense_dim(n)
+                too_large = False
+            except QubitLimitError:
+                too_large = True
+            assert too_large == (16 * 4**n > sys.maxsize), n
 
 
 class TestCrossFamilyAgreement:
