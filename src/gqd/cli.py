@@ -37,8 +37,6 @@ from .discord import (
     QubitLimitError,
     WernerGhzParams,
     _check_numeric_size,
-    _dense_dim,
-    _too_large,
     _werner_ghz_bits,
     gqd_numeric,
     gqd_pauli_diagonal,
@@ -47,7 +45,7 @@ from .discord import (
     werner_ghz_state,
 )
 from .dynamics import scan_gqd_vs_p
-from .qcore import DensityMatrix
+from .qcore import DensityMatrix, _dense
 
 __all__ = [
     "DocumentError",
@@ -286,18 +284,6 @@ def _result_record(result: GqdResult, seed: int, wall_time: float) -> dict:
     }
 
 
-def _dense_state(doc: StateDocument) -> DensityMatrix:
-    """The document's dense state; a :class:`QubitLimitError` when its 4^N
-    complex entries overflow NumPy's size type or cannot be allocated."""
-    # Before the family's weights are checked, so that a state too large to
-    # build is a qubit limit whatever its coefficients.
-    _dense_dim(doc.n_qubits)
-    try:
-        return doc.to_density_matrix()
-    except MemoryError:
-        raise _too_large(doc.n_qubits) from None
-
-
 def cmd_compute(args) -> int:
     # Built first so that out-of-range flags fail on the closed route too.
     opts = _optimizer_options(args)
@@ -315,9 +301,13 @@ def cmd_compute(args) -> int:
         value, tag = doc.closed_form()
         result = GqdResult(value=max(value, 0.0), method=tag)
     else:
-        # Before the dense state is built, whose size is exponential in N.
+        # Both size rules run before the family's weights are checked and the
+        # state, exponential in N, is built: a state too large is a qubit
+        # limit whatever its coefficients.
         _check_numeric_size(doc.n_qubits, opts)
-        result = gqd_numeric(_dense_state(doc), opts)
+        with _dense(doc.n_qubits):
+            rho = doc.to_density_matrix()
+        result = gqd_numeric(rho, opts)
     record = _result_record(result, opts.seed, time.perf_counter() - t0)
     print(json.dumps(record))
     return EXIT_OK

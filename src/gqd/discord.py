@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,9 @@ from .measurement import (
 from .qcore import (
     BlochVector,
     DensityMatrix,
+    QubitLimitError,
     _binary_entropy_bits,
+    _dense,
     _entropy_bits,
     mutual_information,
     pauli_string,
@@ -73,24 +74,6 @@ _PARAM_TOL = 1e-12
 
 class InvalidParamsError(ValueError):
     """Family parameters or optimizer options violate their constraints."""
-
-
-class QubitLimitError(ValueError):
-    """A dense computation was requested above the configured qubit limit."""
-
-
-def _too_large(n: int) -> QubitLimitError:
-    return QubitLimitError(f"state has {n} qubits, too many to build as a dense matrix")
-
-
-def _dense_dim(n: int) -> int:
-    """``2**n``, the side of an n-qubit dense matrix; a :class:`QubitLimitError`
-    when its 4^n complex entries of 16 bytes overflow NumPy's size type,
-    ``16 * 4**n > sys.maxsize``. That is decided on the exponent, so that a
-    huge ``n`` never builds a 2n-bit integer."""
-    if 2 * n + 4 >= sys.maxsize.bit_length():
-        raise _too_large(n)
-    return 2**n
 
 
 def _check_n_qubits(n) -> None:
@@ -254,15 +237,15 @@ def validate_pauli_params(params: PauliDiagonalParams) -> ValidationReport:
 
 def werner_ghz_state(params: WernerGhzParams) -> DensityMatrix:
     """Dense matrix of the GHZ-plus-white-noise mixture."""
-    n, mu = params.n_qubits, params.mu
-    d = _dense_dim(n)
-    mat = np.eye(d, dtype=np.complex128) * ((1.0 - mu) / d)
-    half = mu / 2.0
-    mat[0, 0] += half
-    mat[-1, -1] += half
-    mat[0, -1] += half
-    mat[-1, 0] += half
-    return DensityMatrix(mat)
+    mu = params.mu
+    with _dense(params.n_qubits) as d:
+        mat = np.eye(d, dtype=np.complex128) * ((1.0 - mu) / d)
+        half = mu / 2.0
+        mat[0, 0] += half
+        mat[-1, -1] += half
+        mat[0, -1] += half
+        mat[-1, 0] += half
+        return DensityMatrix(mat)
 
 
 # Past this many qubits 2**-n times any weight underflows to 0, so larger
@@ -309,12 +292,12 @@ def pauli_diagonal_state(params: PauliDiagonalParams) -> DensityMatrix:
     """Dense matrix ``(I + c1 X...X + c2 Y...Y + c3 Z...Z) / 2**n``."""
     _checked_weights(params.n_qubits, *params.coefficients())
     n = params.n_qubits
-    d = _dense_dim(n)
-    mat = np.eye(d, dtype=np.complex128)
-    for c, axis in zip(params.coefficients(), ("x", "y", "z")):
-        if c != 0.0:
-            mat += c * pauli_string(axis, n)
-    return DensityMatrix(mat / d)
+    with _dense(n) as d:
+        mat = np.eye(d, dtype=np.complex128)
+        for c, axis in zip(params.coefficients(), ("x", "y", "z")):
+            if c != 0.0:
+                mat += c * pauli_string(axis, n)
+        return DensityMatrix(mat / d)
 
 
 def _pauli_diagonal_bits(n_qubits: int, c1, c2, c3, p=None):

@@ -90,9 +90,6 @@ class LocalMeasurement:
             raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
         return cls((BlochVector(*_AXES[axis]),) * n_qubits)
 
-    def canonicalized(self) -> "LocalMeasurement":
-        return LocalMeasurement(tuple(canonical_direction(d) for d in self.directions))
-
 
 def projectors(direction: BlochVector) -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 projectors ``(I +/- n . sigma) / 2`` onto a Bloch direction."""

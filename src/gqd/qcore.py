@@ -13,8 +13,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "PAULI_Z",
     "IDENTITY_2",
     "StateValidationError",
+    "QubitLimitError",
     "DensityMatrix",
     "BlochVector",
     "tensor_product",
@@ -44,7 +47,6 @@ __all__ = [
     "diagonal_pinch",
     "apply_single_qubit_operators",
     "maximally_mixed",
-    "pure_state",
     "random_density_matrix",
     "random_unitary",
     "random_bloch_vector",
@@ -71,6 +73,36 @@ _PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 class StateValidationError(ValueError):
     """A matrix failed one of the density-matrix invariants."""
+
+
+class QubitLimitError(ValueError):
+    """A dense state has too many qubits: more than a numeric route's
+    ``max_qubits``, or more than a 2^N x 2^N matrix may have, whose size
+    overflows NumPy's size type (from N = 30) or cannot be allocated."""
+
+
+@contextlib.contextmanager
+def _dense(n_qubits):
+    """Guard a block that builds an n-qubit dense matrix; yields its side ``2**n``.
+
+    ``n_qubits`` must be an integer of at least 1 (NumPy's too, not a bool),
+    else ValueError. A :class:`QubitLimitError` when the 4^n complex entries
+    of 16 bytes overflow NumPy's size type, ``16 * 4**n > sys.maxsize``
+    (decided on the exponent, so a huge n never builds 2**n), or when the
+    block raises MemoryError.
+    """
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, numbers.Integral):
+        raise ValueError(f"n_qubits must be an integer, got {n_qubits!r}")
+    n = int(n_qubits)
+    if n < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n}")
+    message = f"state has {n} qubits, too many to build as a dense matrix"
+    if 2 * n + 4 >= sys.maxsize.bit_length():
+        raise QubitLimitError(message)
+    try:
+        yield 2**n
+    except MemoryError:
+        raise QubitLimitError(message) from None
 
 
 def _as_square_complex(a, name: str = "matrix") -> np.ndarray:
@@ -191,12 +223,11 @@ def pauli_string(axis: str, n_qubits: int) -> np.ndarray:
     """
     if axis not in _PAULIS:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    out = _PAULIS[axis]
-    for _ in range(n_qubits - 1):
-        out = np.kron(out, _PAULIS[axis])
-    return out
+    with _dense(n_qubits):
+        out = _PAULIS[axis]
+        for _ in range(n_qubits - 1):
+            out = np.kron(out, _PAULIS[axis])
+        return out
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -401,9 +432,11 @@ def apply_single_qubit_operators(matrix, ops, qubit: int, n_qubits: int) -> np.n
     ``ops`` is a sequence of 2x2 matrices acting on qubit ``qubit`` of an
     ``n_qubits``-qubit operator ``M``; identity acts elsewhere.
     """
+    # The size rule only: the caller already holds the matrix.
+    with _dense(n_qubits) as d:
+        pass
     if not 0 <= qubit < n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
-    d = 2**n_qubits
     mat = np.asarray(matrix, dtype=np.complex128)
     if mat.shape != (d, d):
         raise ValueError(f"matrix shape {mat.shape} does not match n_qubits={n_qubits}")
@@ -421,28 +454,16 @@ def apply_single_qubit_operators(matrix, ops, qubit: int, n_qubits: int) -> np.n
 
 def maximally_mixed(n_qubits: int) -> DensityMatrix:
     """The state ``I / 2**n``."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    d = 2**n_qubits
-    return DensityMatrix(np.eye(d, dtype=np.complex128) / d)
-
-
-def pure_state(vector) -> DensityMatrix:
-    """Projector onto a normalized state vector."""
-    v = np.asarray(vector, dtype=np.complex128).ravel()
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ValueError("state vector must be nonzero")
-    v = v / norm
-    return DensityMatrix(np.outer(v, v.conj()))
+    with _dense(n_qubits) as d:
+        return DensityMatrix(np.eye(d, dtype=np.complex128) / d)
 
 
 def random_density_matrix(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank mixed state from a complex Ginibre matrix."""
-    d = 2**n_qubits
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m))
+    with _dense(n_qubits) as d:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = g @ g.conj().T
+        return DensityMatrix(m / np.trace(m))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,12 +5,16 @@ import functools
 import itertools
 import math
 import re
+import subprocess
 import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gqd
 from gqd import checks, lbfgs, measurement
 from gqd.checks import check_mixed_marginal_shortcut, random_valid_pauli_params
 from gqd.discord import (
@@ -24,7 +28,6 @@ from gqd.discord import (
     _AGREE_TOL,
     _GRAD_TOL,
     _correlation_start,
-    _dense_dim,
     _found_every_minimum,
     _pauli_weights,
     _run_starts,
@@ -54,6 +57,8 @@ from gqd.qcore import (
     PAULI_Z,
     BlochVector,
     DensityMatrix,
+    _dense,
+    apply_single_qubit_operators,
     maximally_mixed,
     mutual_information,
     partial_trace,
@@ -315,30 +320,90 @@ class TestPauliDiagonalFamily:
         assert PauliDiagonalParams(2, np.int64(0), np.float64(0.5), 0).c2 == 0.5
 
 
+# Every public builder that turns a qubit count into a dense matrix, as a
+# function of that count.
+DENSE_BUILDERS = {
+    "werner_ghz": lambda n: werner_ghz_state(WernerGhzParams(n, 0.5)),
+    "pauli_diagonal": lambda n: pauli_diagonal_state(PauliDiagonalParams(n, 0.1, 0.2, 0.3)),
+    "maximally_mixed": maximally_mixed,
+    "random_density_matrix": lambda n: random_density_matrix(n, np.random.default_rng(0)),
+    "apply_single_qubit_operators": (
+        lambda n: apply_single_qubit_operators(np.eye(2), [IDENTITY_2], 0, n)
+    ),
+    "pauli_string": lambda n: pauli_string("x", n),
+}
+
+# Builds each builder that allocates at N = 14 (a 4 GiB matrix, or 2 GiB
+# of Ginibre draws) with the address space capped at 2 GiB, and prints
+# what each raised. pauli_string is left out: its Kronecker products would
+# fill 1.3 GiB before the one that fails.
+_CAPPED_BUILDS = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from gqd.discord import (
+    PauliDiagonalParams, WernerGhzParams, pauli_diagonal_state, werner_ghz_state,
+)
+from gqd.qcore import maximally_mixed, random_density_matrix
+
+for name, build in [
+    ("werner_ghz", lambda n: werner_ghz_state(WernerGhzParams(n, 0.5))),
+    ("pauli_diagonal", lambda n: pauli_diagonal_state(PauliDiagonalParams(n, 0.1, 0.2, 0.3))),
+    ("maximally_mixed", maximally_mixed),
+    ("random_density_matrix", lambda n: random_density_matrix(n, np.random.default_rng(0))),
+]:
+    try:
+        build(14)
+        print(name, "built")
+    except Exception as exc:
+        print(name, type(exc).__name__, exc)
+"""
+
+
 class TestDenseBuilders:
     # From N = 30 on, 4^N complex entries of 16 bytes overflow NumPy's size
     # type. The builders decide that on N alone, so N = 10**12 or 2**63
     # never builds 2**N, an integer of N bits.
-    @pytest.mark.parametrize("n", [30, 10**12, 2**63])
-    @pytest.mark.parametrize("build", [
-        lambda n: werner_ghz_state(WernerGhzParams(n, 0.5)),
-        lambda n: pauli_diagonal_state(PauliDiagonalParams(n, 0.1, 0.2, 0.3)),
-    ], ids=["werner_ghz", "pauli_diagonal"])
+    @pytest.mark.parametrize("n", [30, 40, 10**12, 2**63])
+    @pytest.mark.parametrize("build", DENSE_BUILDERS.values(), ids=DENSE_BUILDERS.keys())
     def test_state_too_large_to_build_is_a_qubit_limit(self, build, n):
+        t0 = time.perf_counter()
         with pytest.raises(QubitLimitError) as info:
             build(n)
+        assert time.perf_counter() - t0 < 1.0
         assert str(info.value) == f"state has {n} qubits, too many to build as a dense matrix"
 
     def test_size_rule_is_the_byte_count_rule(self):
         # The exponent rule agrees with 16 * 4**n > sys.maxsize, the test it
         # replaces, wherever that test is cheap.
-        for n in range(300):
+        for n in range(1, 300):
             try:
-                _dense_dim(n)
+                with _dense(n) as d:
+                    assert d == 2**n
                 too_large = False
             except QubitLimitError:
                 too_large = True
             assert too_large == (16 * 4**n > sys.maxsize), n
+
+    def test_a_failed_allocation_is_a_qubit_limit(self):
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("no address-space limit on this platform")
+        package_root = str(Path(gqd.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _CAPPED_BUILDS, package_root],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        message = "QubitLimitError state has 14 qubits, too many to build as a dense matrix"
+        assert proc.stdout.splitlines() == [
+            f"{name} {message}" for name in
+            ("werner_ghz", "pauli_diagonal", "maximally_mixed", "random_density_matrix")
+        ]
+
+    def test_one_error_class(self):
+        assert gqd.QubitLimitError is gqd.qcore.QubitLimitError is gqd.discord.QubitLimitError
 
 
 class TestCrossFamilyAgreement:

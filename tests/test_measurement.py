@@ -287,12 +287,6 @@ class TestLocalMeasurement:
         kept = canonical_direction(BlochVector(0.6, 0.8, 0.0))
         assert (kept.x, kept.y) == (0.6, 0.8)
 
-    def test_canonicalized_measurement(self):
-        m = LocalMeasurement(
-            (BlochVector(0.0, 0.0, -1.0), BlochVector(0.0, 0.0, 1.0))
-        ).canonicalized()
-        assert all(d.z == 1.0 for d in m.directions)
-
 
 class TestPinchMatrix:
     def test_matches_projector_sum_route(self):

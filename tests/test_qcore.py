@@ -13,6 +13,8 @@ from gqd.qcore import (
     _entropy_bits,
     BlochVector,
     DensityMatrix,
+    IDENTITY_2,
+    QubitLimitError,
     StateValidationError,
     apply_single_qubit_operators,
     binary_entropy,
@@ -23,7 +25,6 @@ from gqd.qcore import (
     mutual_information,
     partial_trace,
     pauli_string,
-    pure_state,
     random_bloch_vector,
     random_density_matrix,
     random_unitary,
@@ -34,6 +35,12 @@ from gqd.qcore import (
 )
 
 RNG_SEED = 20240811
+
+
+def pure_state(vector) -> DensityMatrix:
+    """Projector onto a unit state vector."""
+    v = np.asarray(vector, dtype=np.complex128)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def bell_phi_plus() -> DensityMatrix:
@@ -532,3 +539,35 @@ class TestRandomGenerators:
         a = random_density_matrix(2, np.random.default_rng(7))
         b = random_density_matrix(2, np.random.default_rng(7))
         assert np.array_equal(a.matrix, b.matrix)
+
+
+# The qcore builders that take a qubit count, as functions of that count.
+COUNTED_BUILDERS = {
+    "maximally_mixed": maximally_mixed,
+    "random_density_matrix": lambda n: random_density_matrix(n, np.random.default_rng(7)),
+    "apply_single_qubit_operators": (
+        lambda n: apply_single_qubit_operators(np.eye(4) / 4, [IDENTITY_2], 0, n)
+    ),
+    "pauli_string": lambda n: pauli_string("y", n),
+}
+
+
+class TestQubitCounts:
+    @pytest.mark.parametrize("n", [2.0, True, False, "2", None, 0, -1])
+    @pytest.mark.parametrize("name", COUNTED_BUILDERS)
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, name, n):
+        with pytest.raises(ValueError, match=r"^n_qubits must be (an integer|>= 1), got") as info:
+            COUNTED_BUILDERS[name](n)
+        assert not isinstance(info.value, QubitLimitError)
+
+    @pytest.mark.parametrize("name", COUNTED_BUILDERS)
+    def test_numpy_integer_counts_build_what_ints_build(self, name):
+        build = COUNTED_BUILDERS[name]
+        want = build(2)
+        for n in (np.int64(2), np.uint8(2)):
+            got = build(n)
+            got, want_m = (
+                (got.matrix, want.matrix) if isinstance(got, DensityMatrix) else (got, want)
+            )
+            assert np.array_equal(got, want_m)
+
