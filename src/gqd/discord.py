@@ -24,7 +24,6 @@ import numpy as np
 from .lbfgs import minimize_stacked
 from .measurement import (
     LocalMeasurement,
-    _AXES,
     _bloch_vectors,
     _entropy_objective,
     _pauli_coefficients,
@@ -432,6 +431,8 @@ class GqdResult:
 _GRAD_TOL = 1e-7
 # Starts whose final values lie this close to the best count as agreeing.
 _AGREE_TOL = 1e-6
+# Unit vector of each coordinate axis, the optimizer's axis starts.
+_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
 def _correlation_start(coeffs: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ and, for even qubit numbers, an exactly frozen plateau before it.
 
 from __future__ import annotations
 
-import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discord import PauliDiagonalParams, _checked_weights, _pauli_diagonal_bits
-from .qcore import DensityMatrix, PAULI_Z, apply_single_qubit_operators
+from .qcore import DensityMatrix
 
 __all__ = [
     "phase_damping",
@@ -38,17 +38,24 @@ __all__ = [
 def phase_damping(rho: DensityMatrix, qubit: int, p: float) -> DensityMatrix:
     """Apply the phase-damping channel with strength ``p`` to one qubit.
 
-    Kraus operators ``sqrt(1 - p/2) I`` and ``sqrt(p/2) Z``; off-diagonal
-    single-qubit terms shrink by ``1 - p``.
+    The channel, with Kraus operators ``sqrt(1 - p/2) I`` and
+    ``sqrt(p/2) Z``, keeps every entry between equal levels of the qubit and
+    multiplies the two blocks that couple its levels by ``1 - p``; it is
+    computed as that scaling. ``qubit`` is an integer in ``[0, N)``, NumPy's
+    included but not a bool; anything else is a ValueError.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    ops = (
-        math.sqrt(1.0 - p / 2.0) * np.eye(2, dtype=np.complex128),
-        math.sqrt(p / 2.0) * PAULI_Z,
-    )
-    out = apply_single_qubit_operators(rho.matrix, ops, qubit, rho.n_qubits)
-    out = (out + out.conj().T) / 2.0
+    if isinstance(qubit, bool) or not isinstance(qubit, numbers.Integral):
+        raise ValueError(f"qubit {qubit!r} is not an integer")
+    n = rho.n_qubits
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    left = 2 ** int(qubit)
+    out = rho.matrix.copy()
+    t = out.reshape(left, 2, rho.dim // (2 * left), left, 2, -1)
+    t[:, 0, :, :, 1] *= 1.0 - p
+    t[:, 1, :, :, 0] *= 1.0 - p
     return DensityMatrix(out)
 
 

@@ -28,7 +28,7 @@ from .qcore import (
     PAULI_Z,
     BlochVector,
     DensityMatrix,
-    _TINY,
+    _entropy_and_log2,
     mutual_information,
     partial_trace,
     relative_entropy,
@@ -60,10 +60,6 @@ def canonical_direction(v: BlochVector) -> BlochVector:
     return v
 
 
-# Unit vector of each coordinate axis, also the optimizer's axis starts.
-_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
-
-
 @dataclass(frozen=True)
 class LocalMeasurement:
     """One projective measurement direction per qubit."""
@@ -82,13 +78,6 @@ class LocalMeasurement:
     @property
     def n_qubits(self) -> int:
         return len(self.directions)
-
-    @classmethod
-    def along_axis(cls, axis: str, n_qubits: int) -> "LocalMeasurement":
-        """Same coordinate axis on every qubit."""
-        if axis not in _AXES:
-            raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-        return cls((BlochVector(*_AXES[axis]),) * n_qubits)
 
 
 def projectors(direction: BlochVector) -> tuple[np.ndarray, np.ndarray]:
@@ -219,16 +208,14 @@ def _entropy_objective(coeffs: np.ndarray):
         unit = v / norm
         legs = _leg_matrices(unit)
         q, inputs = _measured_distribution(coeffs, legs)
-        # As in _entropy_bits: a weight below 0 counts as 0, and 0 log2 0 = 0.
-        log_q = np.log2(np.maximum(q, _TINY))
-        value = 0.0 - (np.maximum(q, 0.0) * log_q).sum(axis=-1)
+        value, log_q = _entropy_and_log2(q)
         d_legs = _reverse(inputs, legs, log_q)
         grad = d_legs[..., 1:, 1] - d_legs[..., 1:, 0]
         s = (unit * bloch).sum(axis=-1)
         # p[:, j] and p[:, n + j] are the two outcomes of qubit j.
         p = np.concatenate([1.0 + s, 1.0 - s], axis=1) / 2.0
-        log_p = np.log2(np.maximum(p, _TINY))
-        value -= 0.0 - (np.maximum(p, 0.0) * log_p).sum(axis=-1)
+        marginal_bits, log_p = _entropy_and_log2(p)
+        value -= marginal_bits
         grad += (log_p[:, :n] - log_p[:, n:])[..., None] * bloch / 2.0
         grad -= unit * (unit * grad).sum(axis=-1)[..., None]
         return value, (grad / norm).reshape(len(x), 3 * n)

@@ -45,8 +45,6 @@ __all__ = [
     "bloch_rotation",
     "majorizes",
     "diagonal_pinch",
-    "apply_single_qubit_operators",
-    "maximally_mixed",
     "random_density_matrix",
     "random_unitary",
     "random_bloch_vector",
@@ -304,16 +302,24 @@ def shannon_entropy(weights) -> float:
     return float(_entropy_bits(_probabilities(weights)))
 
 
-def _entropy_bits(weights: np.ndarray) -> np.ndarray:
-    """Entropy in bits along the last axis of nonnegative weights.
+def _entropy_and_log2(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy in bits along the last axis of nonnegative weights, and the
+    ``log2`` of each weight that it takes.
 
-    Rounding-level negatives count as 0, and ``0 log2 0 = 0``. Rows are
-    reduced one by one, as the stacked objective needs.
+    Rounding-level negatives count as 0, and ``0 log2 0 = 0``: a weight is
+    floored at ``_TINY`` inside the log. Rows are reduced one by one, as the
+    stacked objective needs.
     """
     w = np.maximum(weights, 0.0)
+    log_w = np.log2(np.maximum(w, _TINY))
     # A zero weight meets a finite log and contributes 0; 0.0 - sum keeps an
     # entropy of zero from printing as -0.0.
-    return 0.0 - (w * np.log2(np.maximum(w, _TINY))).sum(axis=-1)
+    return 0.0 - (w * log_w).sum(axis=-1), log_w
+
+
+def _entropy_bits(weights: np.ndarray) -> np.ndarray:
+    """The entropy of :func:`_entropy_and_log2` alone."""
+    return _entropy_and_log2(weights)[0]
 
 
 def _binary_entropy_bits(p):
@@ -424,38 +430,6 @@ def diagonal_pinch(a) -> np.ndarray:
     """Zero every off-diagonal element of a square matrix."""
     arr = _as_square_complex(a)
     return np.diag(np.diag(arr))
-
-
-def apply_single_qubit_operators(matrix, ops, qubit: int, n_qubits: int) -> np.ndarray:
-    """Apply ``sum_k (I x K_k x I) M (I x K_k x I)^dagger`` on one qubit.
-
-    ``ops`` is a sequence of 2x2 matrices acting on qubit ``qubit`` of an
-    ``n_qubits``-qubit operator ``M``; identity acts elsewhere.
-    """
-    # The size rule only: the caller already holds the matrix.
-    with _dense(n_qubits) as d:
-        pass
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubits")
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.shape != (d, d):
-        raise ValueError(f"matrix shape {mat.shape} does not match n_qubits={n_qubits}")
-    left = 2**qubit
-    right = d // (2 * left)
-    t = mat.reshape(left, 2, right, left, 2, right)
-    out = np.zeros_like(t)
-    for k in ops:
-        kk = np.asarray(k, dtype=np.complex128)
-        if kk.shape != (2, 2):
-            raise ValueError(f"operators must be 2x2, got shape {kk.shape}")
-        out += np.einsum("ab,ibjkcm,dc->iajkdm", kk, t, kk.conj())
-    return out.reshape(d, d)
-
-
-def maximally_mixed(n_qubits: int) -> DensityMatrix:
-    """The state ``I / 2**n``."""
-    with _dense(n_qubits) as d:
-        return DensityMatrix(np.eye(d, dtype=np.complex128) / d)
 
 
 def random_density_matrix(n_qubits: int, rng: np.random.Generator) -> DensityMatrix:

@@ -26,6 +26,7 @@ from gqd.discord import (
     QubitLimitError,
     WernerGhzParams,
     _AGREE_TOL,
+    _AXES,
     _GRAD_TOL,
     _correlation_start,
     _found_every_minimum,
@@ -43,7 +44,6 @@ from gqd.discord import (
 )
 from gqd.lbfgs import StackedResult, minimize_stacked
 from gqd.measurement import (
-    _AXES,
     LocalMeasurement,
     _entropy_objective,
     _pauli_coefficients,
@@ -58,8 +58,6 @@ from gqd.qcore import (
     BlochVector,
     DensityMatrix,
     _dense,
-    apply_single_qubit_operators,
-    maximally_mixed,
     mutual_information,
     partial_trace,
     pauli_string,
@@ -78,6 +76,16 @@ WERNER_N3_MU_HALF = 0.33187775400669917
 WERNER_N3_MU_QUARTER = 0.10955207494897745
 PAULI_N2_512 = 0.07192425229193178
 PAULI_N3_432 = 0.10198878140595202
+
+
+def maximally_mixed(n: int) -> DensityMatrix:
+    """The state ``I / 2**n``."""
+    return DensityMatrix(np.eye(2**n) / 2**n)
+
+
+def along_z(n: int) -> LocalMeasurement:
+    """The z axis on every qubit."""
+    return LocalMeasurement((BlochVector(0.0, 0.0, 1.0),) * n)
 
 
 class TestWernerGhzFamily:
@@ -325,11 +333,7 @@ class TestPauliDiagonalFamily:
 DENSE_BUILDERS = {
     "werner_ghz": lambda n: werner_ghz_state(WernerGhzParams(n, 0.5)),
     "pauli_diagonal": lambda n: pauli_diagonal_state(PauliDiagonalParams(n, 0.1, 0.2, 0.3)),
-    "maximally_mixed": maximally_mixed,
     "random_density_matrix": lambda n: random_density_matrix(n, np.random.default_rng(0)),
-    "apply_single_qubit_operators": (
-        lambda n: apply_single_qubit_operators(np.eye(2), [IDENTITY_2], 0, n)
-    ),
     "pauli_string": lambda n: pauli_string("x", n),
 }
 
@@ -345,12 +349,11 @@ import numpy as np
 from gqd.discord import (
     PauliDiagonalParams, WernerGhzParams, pauli_diagonal_state, werner_ghz_state,
 )
-from gqd.qcore import maximally_mixed, random_density_matrix
+from gqd.qcore import random_density_matrix
 
 for name, build in [
     ("werner_ghz", lambda n: werner_ghz_state(WernerGhzParams(n, 0.5))),
     ("pauli_diagonal", lambda n: pauli_diagonal_state(PauliDiagonalParams(n, 0.1, 0.2, 0.3))),
-    ("maximally_mixed", maximally_mixed),
     ("random_density_matrix", lambda n: random_density_matrix(n, np.random.default_rng(0))),
 ]:
     try:
@@ -399,7 +402,7 @@ class TestDenseBuilders:
         message = "QubitLimitError state has 14 qubits, too many to build as a dense matrix"
         assert proc.stdout.splitlines() == [
             f"{name} {message}" for name in
-            ("werner_ghz", "pauli_diagonal", "maximally_mixed", "random_density_matrix")
+            ("werner_ghz", "pauli_diagonal", "random_density_matrix")
         ]
 
     def test_one_error_class(self):
@@ -498,7 +501,7 @@ class TestNumericOptimizer:
         assert res.value == 0.0 and diag.raw_value == 0.0
         assert diag.starts == diag.evaluations == diag.starts_agreeing == 8 * n
         assert diag.converged
-        assert res.optimal_measurement == LocalMeasurement.along_axis("z", n)
+        assert res.optimal_measurement == along_z(n)
 
     def test_near_maximally_mixed_reports_zero(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -539,7 +542,7 @@ class TestNumericOptimizer:
         # minimizes the objective; the optimizer should never beat it
         for n, mu in [(2, 0.6), (3, 0.4)]:
             rho = werner_ghz_state(WernerGhzParams(n, mu))
-            z_obj = measurement_objective(rho, LocalMeasurement.along_axis("z", n))
+            z_obj = measurement_objective(rho, along_z(n))
             num = gqd_numeric(rho).value
             assert z_obj <= num + 1e-6
             assert abs(z_obj - gqd_werner_ghz(WernerGhzParams(n, mu))) <= 1e-9

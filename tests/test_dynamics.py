@@ -56,6 +56,50 @@ class TestPhaseDamping:
         out = phase_damping(rho, 1, 0.63)
         assert np.allclose(np.diag(out.matrix), np.diag(rho.matrix), atol=1e-12)
 
+    def test_matches_the_kraus_sum(self):
+        # The channel with Kraus operators sqrt(1 - p/2) I and sqrt(p/2) Z
+        # on one qubit, built as dense Kronecker products.
+        rng = np.random.default_rng(RNG_SEED)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                rho = random_density_matrix(n, rng)
+                for qubit in range(n):
+                    z = np.kron(np.eye(2**qubit), np.diag([1.0, -1.0]))
+                    z = np.kron(z, np.eye(2 ** (n - qubit - 1)))
+                    for p in (0.0, 0.3, 1.0):
+                        want = (1 - p / 2) * rho.matrix + (p / 2) * z @ rho.matrix @ z
+                        got = phase_damping(rho, qubit, p).matrix
+                        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_leaves_same_level_entries_and_zeroes_cross_level_ones(self, n):
+        # Entries between equal levels of the damped qubit are copied bit for
+        # bit, and at p = 1 the two blocks coupling its levels are exactly 0.
+        rho = random_density_matrix(n, np.random.default_rng(RNG_SEED + n))
+        for qubit in range(n):
+            shape = (2**qubit, 2, -1, 2**qubit, 2, 2 ** (n - qubit - 1))
+            before = rho.matrix.reshape(shape)
+            for p in (0.3, 0.63, 1.0):
+                after = phase_damping(rho, qubit, p).matrix.reshape(shape)
+                for level in (0, 1):
+                    same = (slice(None), level, slice(None), slice(None), level)
+                    assert np.array_equal(after[same], before[same])
+            cross = [(slice(None), a, slice(None), slice(None), 1 - a) for a in (0, 1)]
+            full = phase_damping(rho, qubit, 1.0).matrix.reshape(shape)
+            assert all(not full[c].any() for c in cross)
+
+    @pytest.mark.parametrize("qubit", [True, False, 1.0, "0", None, -1, 2])
+    def test_rejects_a_qubit_that_is_not_an_index(self, qubit):
+        rho = random_density_matrix(2, np.random.default_rng(RNG_SEED))
+        with pytest.raises(ValueError, match="qubit"):
+            phase_damping(rho, qubit, 0.3)
+
+    def test_numpy_integer_qubit_damps_what_an_int_damps(self):
+        rho = random_density_matrix(2, np.random.default_rng(RNG_SEED))
+        want = phase_damping(rho, 1, 0.3).matrix
+        for qubit in (np.int64(1), np.uint8(1)):
+            assert np.array_equal(phase_damping(rho, qubit, 0.3).matrix, want)
+
     def test_rejects_bad_strength(self):
         rho = random_density_matrix(2, np.random.default_rng(RNG_SEED))
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import re
 import types
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from gqd.qcore import (
     PAULI_Z,
     BlochVector,
     DensityMatrix,
-    maximally_mixed,
     partial_trace,
     random_bloch_vector,
     random_density_matrix,
@@ -41,6 +41,16 @@ from gqd.qcore import (
 RNG_SEED = 20240812
 
 _SIGMA = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
+
+
+def maximally_mixed(n: int) -> DensityMatrix:
+    """The state ``I / 2**n``."""
+    return DensityMatrix(np.eye(2**n) / 2**n)
+
+
+def along_z(n: int) -> LocalMeasurement:
+    """The z axis on every qubit."""
+    return LocalMeasurement((BlochVector(0.0, 0.0, 1.0),) * n)
 
 
 def n_dot_sigma(v: BlochVector) -> np.ndarray:
@@ -269,12 +279,6 @@ class TestLegMatrices:
 
 
 class TestLocalMeasurement:
-    def test_along_axis(self):
-        m = LocalMeasurement.along_axis("x", 3)
-        assert m.n_qubits == 3
-        for d in m.directions:
-            assert np.allclose(d.as_array(), [1.0, 0.0, 0.0], atol=0)
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             LocalMeasurement(())
@@ -347,20 +351,18 @@ class TestApplyLocalMeasurement:
         # mu = 0.5, three qubits: measuring every qubit along z halves the
         # GHZ weight across the two classical outcomes 000 and 111.
         rho = werner_ghz_state(WernerGhzParams(3, 0.5))
-        measured = apply_local_measurement(rho, LocalMeasurement.along_axis("z", 3))
+        measured = apply_local_measurement(rho, along_z(3))
         want = np.sort(np.array([0.3125, 0.3125] + [0.0625] * 6))
         assert np.allclose(np.sort(measured.eigenvalues()), want, atol=1e-12)
 
     def test_fixed_point_of_classical_state(self):
         rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]))
-        measured = apply_local_measurement(rho, LocalMeasurement.along_axis("z", 2))
+        measured = apply_local_measurement(rho, along_z(2))
         assert np.allclose(measured.matrix, rho.matrix, atol=1e-14)
 
     def test_rejects_qubit_count_mismatch(self):
         with pytest.raises(ValueError):
-            apply_local_measurement(
-                maximally_mixed(3), LocalMeasurement.along_axis("z", 2)
-            )
+            apply_local_measurement(maximally_mixed(3), along_z(2))
 
 
 def measure_reduced(rho: DensityMatrix, m: LocalMeasurement, qubit: int) -> DensityMatrix:
@@ -414,7 +416,7 @@ class TestObjectives:
 
     def test_zero_for_classical_state_in_its_basis(self):
         rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]))
-        obj = measurement_objective(rho, LocalMeasurement.along_axis("z", 2))
+        obj = measurement_objective(rho, along_z(2))
         assert abs(obj) <= 1e-12
 
     def test_zero_for_product_states_any_measurement(self):
@@ -481,3 +483,17 @@ class TestPublicSurface:
         block = section.split("```python\n", 1)[1].split("```", 1)[0]
         assert "from gqd import" in block
         exec(compile(block, str(README), "exec"), {})
+
+    def test_readme_qualified_names_resolve(self):
+        # Each `gqd.a.b` the README names is a submodule of the package, or
+        # an attribute of the module or object before it.
+        names = re.findall(r"`(gqd(?:\.\w+)+)`", README.read_text(encoding="utf-8"))
+        assert names
+        for name in names:
+            obj = importlib.import_module("gqd")
+            parts = name.split(".")
+            for k, part in enumerate(parts[1:], start=2):
+                if hasattr(obj, "__path__") and not hasattr(obj, part):
+                    importlib.import_module(".".join(parts[:k]))
+                assert hasattr(obj, part), name
+                obj = getattr(obj, part)

@@ -10,18 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqd.qcore import (
+    _entropy_and_log2,
     _entropy_bits,
     BlochVector,
     DensityMatrix,
-    IDENTITY_2,
     QubitLimitError,
     StateValidationError,
-    apply_single_qubit_operators,
     binary_entropy,
     bloch_rotation,
     diagonal_pinch,
     majorizes,
-    maximally_mixed,
     mutual_information,
     partial_trace,
     pauli_string,
@@ -41,6 +39,11 @@ def pure_state(vector) -> DensityMatrix:
     """Projector onto a unit state vector."""
     v = np.asarray(vector, dtype=np.complex128)
     return DensityMatrix(np.outer(v, v.conj()))
+
+
+def maximally_mixed(n: int) -> DensityMatrix:
+    """The state ``I / 2**n``."""
+    return DensityMatrix(np.eye(2**n) / 2**n)
 
 
 def bell_phi_plus() -> DensityMatrix:
@@ -306,6 +309,16 @@ class TestEntropies:
             want = -sum(p * math.log2(p) for p in row if p > 0.0)
             assert math.isclose(stacked[k], want, abs_tol=1e-14)
 
+    def test_log2_weights_are_floored_and_clamped(self):
+        # The logarithm the objective's gradient takes: a zero or
+        # rounding-level negative weight meets log2 of the 1e-300 floor.
+        weights = np.array([[0.5, 0.25, 0.25, 0.0], [0.75, 0.25, -1e-17, 0.0]])
+        bits, log_w = _entropy_and_log2(weights)
+        assert np.array_equal(bits, _entropy_bits(weights))
+        assert bits.tolist() == [1.5, _entropy_bits(np.array([0.75, 0.25]))]
+        floor = math.log2(1e-300)
+        assert log_w.tolist() == [[-1.0, -2.0, -2.0, floor], [math.log2(0.75), -2.0, floor, floor]]
+
     def test_von_neumann_pure_state_zero(self):
         assert von_neumann_entropy(bell_phi_plus()) <= 1e-12
 
@@ -498,26 +511,6 @@ class TestPinchAndChannels:
             assert abs(t1 - t2) <= 1e-9
             assert abs(t1 - t3) <= 1e-9
 
-    def test_apply_single_qubit_operators_matches_kron(self):
-        rng = np.random.default_rng(RNG_SEED)
-        rho = random_density_matrix(3, rng)
-        u = random_unitary(2, rng)
-        got = apply_single_qubit_operators(rho.matrix, [u], qubit=1, n_qubits=3)
-        full = np.kron(np.eye(2), np.kron(u, np.eye(2)))
-        want = full @ rho.matrix @ full.conj().T
-        assert np.allclose(got, want, atol=1e-12)
-
-    def test_apply_single_qubit_operators_sums_kraus_terms(self):
-        rng = np.random.default_rng(RNG_SEED)
-        rho = random_density_matrix(2, rng)
-        z = pauli_string("z", 1)
-        ops = [np.sqrt(0.5) * np.eye(2, dtype=complex), np.sqrt(0.5) * z]
-        got = apply_single_qubit_operators(rho.matrix, ops, qubit=0, n_qubits=2)
-        assert np.isclose(np.trace(got).real, 1.0, atol=1e-12)
-        # full dephasing of qubit 0 kills coherences between its two levels
-        reshaped = got.reshape(2, 2, 2, 2)
-        assert np.allclose(reshaped[0, :, 1, :], 0.0, atol=1e-12)
-
 
 class TestRandomGenerators:
     def test_random_density_matrix_is_valid(self):
@@ -543,11 +536,7 @@ class TestRandomGenerators:
 
 # The qcore builders that take a qubit count, as functions of that count.
 COUNTED_BUILDERS = {
-    "maximally_mixed": maximally_mixed,
     "random_density_matrix": lambda n: random_density_matrix(n, np.random.default_rng(7)),
-    "apply_single_qubit_operators": (
-        lambda n: apply_single_qubit_operators(np.eye(4) / 4, [IDENTITY_2], 0, n)
-    ),
     "pauli_string": lambda n: pauli_string("y", n),
 }
 
