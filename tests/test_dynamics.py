@@ -27,7 +27,7 @@ from gqd.dynamics import (
     scan_gqd_vs_p,
     sudden_transition_point,
 )
-from gqd.qcore import binary_entropy, random_density_matrix
+from gqd.qcore import DensityMatrix, binary_entropy, random_density_matrix
 
 RNG_SEED = 20240814
 
@@ -56,20 +56,69 @@ class TestPhaseDamping:
         out = phase_damping(rho, 1, 0.63)
         assert np.allclose(np.diag(out.matrix), np.diag(rho.matrix), atol=1e-12)
 
-    def test_matches_the_kraus_sum(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_kraus_sum(self, n):
         # The channel with Kraus operators sqrt(1 - p/2) I and sqrt(p/2) Z
         # on one qubit, built as dense Kronecker products.
-        rng = np.random.default_rng(RNG_SEED)
-        for n in (2, 3, 4):
-            for _ in range(10):
-                rho = random_density_matrix(n, rng)
-                for qubit in range(n):
-                    z = np.kron(np.eye(2**qubit), np.diag([1.0, -1.0]))
-                    z = np.kron(z, np.eye(2 ** (n - qubit - 1)))
-                    for p in (0.0, 0.3, 1.0):
-                        want = (1 - p / 2) * rho.matrix + (p / 2) * z @ rho.matrix @ z
-                        got = phase_damping(rho, qubit, p).matrix
-                        assert np.max(np.abs(got - want)) <= 1e-15
+        rng = np.random.default_rng(RNG_SEED + n)
+        for _ in range(10):
+            rho = random_density_matrix(n, rng)
+            for qubit in range(n):
+                z = np.kron(np.eye(2**qubit), np.diag([1.0, -1.0]))
+                z = np.kron(z, np.eye(2 ** (n - qubit - 1)))
+                for p in (0.0, 0.3, 1.0):
+                    want = (1 - p / 2) * rho.matrix + (p / 2) * z @ rho.matrix @ z
+                    got = phase_damping(rho, qubit, p).matrix
+                    assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_single_qubit_coherence_shrinks_by_one_minus_p(self):
+        # N = 1: the damped qubit is the whole state, with no levels left of
+        # it or right of it.
+        plus = DensityMatrix(np.full((2, 2), 0.5))
+        for p in (0.0, 0.3, 1.0):
+            out = phase_damping(plus, 0, p).matrix
+            assert out.tolist() == [[0.5, 0.5 * (1 - p)], [0.5 * (1 - p), 0.5]]
+
+    def test_strengths_compose(self):
+        # Two dampings of one qubit are one damping of strength
+        # 1 - (1 - p) (1 - q).
+        rho = random_density_matrix(3, np.random.default_rng(RNG_SEED))
+        for qubit in range(3):
+            for p, q in [(0.2, 0.5), (0.7, 0.1), (0.3, 1.0)]:
+                twice = phase_damping(phase_damping(rho, qubit, p), qubit, q).matrix
+                once = phase_damping(rho, qubit, 1 - (1 - p) * (1 - q)).matrix
+                assert np.max(np.abs(twice - once)) <= 1e-16
+
+    def test_dampings_of_two_qubits_commute(self):
+        rho = random_density_matrix(3, np.random.default_rng(RNG_SEED))
+        for a, b in [(0, 1), (0, 2), (1, 2)]:
+            ab = phase_damping(phase_damping(rho, a, 0.4), b, 0.7).matrix
+            ba = phase_damping(phase_damping(rho, b, 0.7), a, 0.4).matrix
+            assert np.max(np.abs(ab - ba)) <= 1e-16
+
+    def test_leaves_its_input_alone_and_keeps_hermiticity_exact(self):
+        m = random_density_matrix(3, np.random.default_rng(RNG_SEED)).matrix
+        rho = DensityMatrix((m + m.conj().T) / 2)
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        before = rho.matrix.copy()
+        for qubit in range(3):
+            out = phase_damping(rho, qubit, 0.37).matrix
+            assert np.array_equal(out, out.conj().T)
+            assert out.trace() == rho.matrix.trace()
+        assert np.array_equal(rho.matrix, before)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_qubit_maps_the_pauli_coefficients(self, n):
+        # The Pauli strings act alike on every qubit, so damping any one of
+        # them gives the state of dephase_pauli_params.
+        rng = np.random.default_rng(RNG_SEED + n)
+        params = random_valid_pauli_params(n, rng)
+        rho = pauli_diagonal_state(params)
+        for p in (0.2, 0.7, 1.0):
+            want = pauli_diagonal_state(dephase_pauli_params(params, p)).matrix
+            for qubit in range(n):
+                got = phase_damping(rho, qubit, p).matrix
+                assert np.max(np.abs(got - want)) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_leaves_same_level_entries_and_zeroes_cross_level_ones(self, n):
@@ -106,6 +155,8 @@ class TestPhaseDamping:
             phase_damping(rho, 0, -0.1)
         with pytest.raises(ValueError):
             phase_damping(rho, 0, 1.1)
+        with pytest.raises(ValueError):
+            phase_damping(rho, 0, math.nan)
 
     def test_matches_coefficient_map_exactly(self):
         # damping one qubit of a correlation-diagonal state shrinks the

@@ -309,6 +309,20 @@ class TestEntropies:
             want = -sum(p * math.log2(p) for p in row if p > 0.0)
             assert math.isclose(stacked[k], want, abs_tol=1e-14)
 
+    def test_entropy_and_log2_keep_the_shape_of_a_stack(self):
+        # The stacked objective passes a (rows, outcomes) block of weights;
+        # each row's entropy and logarithms are those of the row alone.
+        rng = np.random.default_rng(RNG_SEED)
+        weights = rng.dirichlet(np.ones(8), size=(4, 3))
+        weights[1, 2, :3] = 0.0
+        bits, log_w = _entropy_and_log2(weights)
+        assert bits.shape == (4, 3) and log_w.shape == weights.shape
+        assert np.array_equal(log_w[weights > 0.0], np.log2(weights[weights > 0.0]))
+        for i, j in np.ndindex(4, 3):
+            row_bits, row_log = _entropy_and_log2(weights[i, j])
+            assert bits[i, j] == row_bits
+            assert np.array_equal(log_w[i, j], row_log)
+
     def test_log2_weights_are_floored_and_clamped(self):
         # The logarithm the objective's gradient takes: a zero or
         # rounding-level negative weight meets log2 of the 1e-300 floor.
