@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -549,30 +549,22 @@ def _check_numeric_size(n: int, opts: OptimizerOptions) -> None:
         raise ValueError(f"discord needs >= 2 qubits, got {n}")
 
 
-def _solve(
-    rho: DensityMatrix, coeffs: np.ndarray, opts: OptimizerOptions, method: str
-) -> GqdResult:
-    """The numeric routes' shared tail, one solve for every state, ``I / d``
-    included: ``I(rho)`` plus the best start's ``H(q) - sum_j H(q_j)``, from
-    the state's real Pauli tensor."""
-    fun = _entropy_objective(coeffs)
-    res, best, diag = _run_starts(fun, _start_points(coeffs, opts), opts, mutual_information(rho))
-    measurement = _measurement_from(res.x[best])
-    return GqdResult(max(diag.raw_value, 0.0), method, measurement, diag)
-
-
 def gqd_numeric(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> GqdResult:
     """Global quantum discord by multi-start minimization over measurements.
 
     Parameterizes qubit j's direction by an unconstrained 3-vector ``v_j``
     (measured along ``v_j / |v_j|``, which has no poles) and refines all
     starts with one stacked L-BFGS. Each evaluation returns the objective
-    and its exact gradient from one O(4^N) contraction. Deterministic for a
-    fixed ``opts.seed``, and the same for every ``opts.threads``.
+    and its exact gradient from one O(4^N) contraction. The raw value is
+    ``I(rho)`` plus the best start's ``H(q) - sum_j H(q_j)``, for every
+    state, ``I / d`` included. Deterministic for a fixed ``opts.seed``.
     """
     opts = opts or OptimizerOptions()
     _check_numeric_size(rho.n_qubits, opts)
-    return _solve(rho, _pauli_coefficients(rho.matrix).real, opts, "numeric")
+    coeffs = _pauli_coefficients(rho.matrix).real
+    fun, points = _entropy_objective(coeffs), _start_points(coeffs, opts)
+    res, best, diag = _run_starts(fun, points, opts, mutual_information(rho))
+    return GqdResult(max(diag.raw_value, 0.0), "numeric", _measurement_from(res.x[best]), diag)
 
 
 def gqd_maximally_mixed(rho: DensityMatrix, opts: OptimizerOptions | None = None) -> GqdResult:
@@ -582,8 +574,7 @@ def gqd_maximally_mixed(rho: DensityMatrix, opts: OptimizerOptions | None = None
     qubit."""
     opts = opts or OptimizerOptions()
     _check_numeric_size(rho.n_qubits, opts)
-    coeffs = _pauli_coefficients(rho.matrix).real
-    r = _bloch_vectors(coeffs)
+    r = _bloch_vectors(_pauli_coefficients(rho.matrix).real)
     # The largest entry of rho_j - I/2 = r_j . sigma / 2.
     dev = np.maximum(np.abs(r[:, 2]), np.hypot(r[:, 0], r[:, 1])) / 2.0
     for j in range(rho.n_qubits):
@@ -592,4 +583,4 @@ def gqd_maximally_mixed(rho: DensityMatrix, opts: OptimizerOptions | None = None
                 f"qubit {j} marginal deviates from I/2 by {dev[j]:.3e}, "
                 "shortcut requires maximally mixed marginals"
             )
-    return _solve(rho, coeffs, opts, "maximally_mixed")
+    return replace(gqd_numeric(rho, opts), method="maximally_mixed")

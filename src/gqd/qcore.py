@@ -143,7 +143,13 @@ class DensityMatrix:
             )
         if not np.isfinite(arr).all():
             raise StateValidationError("density matrix has NaN or infinite entries")
-        herm = np.max(np.abs(arr - arr.conj().T))
+        # Over row blocks of about 1 MiB, so that no whole-matrix temporary
+        # is held; the largest entry over the blocks is the same maximum.
+        rows = max(1, 2**16 // dim)
+        herm = max(
+            np.max(np.abs(arr[i : i + rows] - arr[:, i : i + rows].conj().T))
+            for i in range(0, dim, rows)
+        )
         if herm > HERMITICITY_TOL:
             raise StateValidationError(
                 f"not Hermitian: max |rho - rho^dagger| = {herm:.3e} "

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -65,6 +66,7 @@ from gqd.qcore import (
     random_unitary,
     tensor_product,
 )
+from kernel_family import one_blas_thread, recorded
 
 RNG_SEED = 20240813
 
@@ -103,6 +105,19 @@ class TestWernerGhzFamily:
         want = np.sort([a + 0.5] + [a] * 7)
         got = np.sort(werner_ghz_state(params).eigenvalues())
         assert np.allclose(got, want, atol=1e-12)
+
+    def test_state_peak_memory(self):
+        # The build holds the scaled identity and its product, then the
+        # validated copy; the validation's Hermiticity check adds only row
+        # blocks of about 1 MiB (4.0 times the state with a whole-matrix
+        # check).
+        tracemalloc.start()
+        try:
+            rho = werner_ghz_state(WernerGhzParams(10, 0.4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * rho.matrix.nbytes
 
     @pytest.mark.parametrize(
         "n,mu,expected",
@@ -979,31 +994,124 @@ class TestStoppingRule:
 
 
 # Whole seeded solves of random_density_matrix(n, default_rng(21)) with
-# OptimizerOptions(seed=5, **options), pinned bit for bit: raw_value and
-# grad_norm as hex floats, then evaluations, iterations, starts_finished,
-# starts_agreeing and converged, then the measurement's directions.
+# OptimizerOptions(seed=5, **options), pinned bit for bit: the options, then
+# evaluations, iterations, starts_finished, starts_agreeing and converged,
+# which are the same on every OpenBLAS kernel family.
 PINNED_GQD = {
-    2: ({}, "0x1.90e3359148f90p-3", "0x1.21539afb9a737p-24", (195, 162, 8, 8, True), [
-        ("0x1.951b86a5742fbp-1", "0x1.2c6dfeda4b7e9p-4", "0x1.36d7159e3a028p-1"),
-        ("-0x1.bd1424b2bcbd2p-2", "0x1.0fe9f1a211338p-1", "0x1.7466dc8fc662cp-1"),
-    ]),
-    3: ({}, "0x1.631a282810a06p-2", "0x1.5eb18937383d4p-25", (401, 343, 8, 8, True), [
-        ("-0x1.c285677e78396p-2", "0x1.202287110d806p-1", "0x1.664d3034f4b54p-1"),
-        ("0x1.3aa59795c733ep-2", "-0x1.d2dc812c71947p-1", "0x1.16cf7d422c2b2p-2"),
-        ("-0x1.632b573e15f81p-2", "0x1.e9ef697d4c477p-2", "0x1.9d0929b91542bp-1"),
-    ]),
-    8: ({"starts": 3, "max_evals_per_start": 12}, "0x1.6f03a0216826ep-1",
-        "0x1.93526cd6493bbp-13", (39, 34, 3, 1, False), [
-        ("-0x1.08712adeec2fdp-1", "0x1.e5d3fb3b9ee28p-3", "0x1.a54359d72abbcp-1"),
-        ("0x1.8866bc605539bp-1", "-0x1.69086a1bd76a9p-2", "0x1.12ea9939b4225p-1"),
-        ("-0x1.1a647a4057497p-1", "0x1.7b16b617a3ba4p-1", "0x1.8965896bd9841p-2"),
-        ("-0x1.ee3a4171cb939p-1", "0x1.0179b4b712985p-2", "0x1.21853fdb0f6bep-4"),
-        ("0x1.20eb4b29d3c44p-1", "0x1.241357d9fc468p-1", "0x1.318d23a4f7983p-1"),
-        ("-0x1.60e8f15fccbd4p-1", "-0x1.6be0db92076abp-1", "0x1.2032a6afbac13p-3"),
-        ("0x1.cbe9862090a2dp-1", "0x1.8c3f84653d7e2p-7", "0x1.c1d41c4348e4cp-2"),
-        ("0x1.92a94f9f2465fp-1", "-0x1.61a560bdbc61fp-2", "0x1.062f9710102c1p-1"),
-    ]),
+    2: ({}, (195, 162, 8, 8, True)),
+    3: ({}, (401, 343, 8, 8, True)),
+    8: ({"starts": 3, "max_evals_per_start": 12}, (39, 34, 3, 1, False)),
 }
+# Per OpenBLAS kernel family, as kernel_family.openblas_core names it: each
+# solve's raw_value and grad_norm as hex floats, then the measurement's
+# directions. OPENBLAS_CORETYPE=Zen runs the Haswell kernels and
+# OPENBLAS_CORETYPE=Prescott the ones that OpenBLAS names Katmai.
+PINNED_GQD_HEX = {
+    "SkylakeX": {
+        2: ("0x1.90e3359148f90p-3", "0x1.21539afb9a737p-24", [
+            ("0x1.951b86a5742fbp-1", "0x1.2c6dfeda4b7e9p-4", "0x1.36d7159e3a028p-1"),
+            ("-0x1.bd1424b2bcbd2p-2", "0x1.0fe9f1a211338p-1", "0x1.7466dc8fc662cp-1"),
+        ]),
+        3: ("0x1.631a282810a06p-2", "0x1.5eb18937383d4p-25", [
+            ("-0x1.c285677e78396p-2", "0x1.202287110d806p-1", "0x1.664d3034f4b54p-1"),
+            ("0x1.3aa59795c733ep-2", "-0x1.d2dc812c71947p-1", "0x1.16cf7d422c2b2p-2"),
+            ("-0x1.632b573e15f81p-2", "0x1.e9ef697d4c477p-2", "0x1.9d0929b91542bp-1"),
+        ]),
+        8: ("0x1.6f03a0216826ep-1", "0x1.93526cd6493bbp-13", [
+            ("-0x1.08712adeec2fdp-1", "0x1.e5d3fb3b9ee28p-3", "0x1.a54359d72abbcp-1"),
+            ("0x1.8866bc605539bp-1", "-0x1.69086a1bd76a9p-2", "0x1.12ea9939b4225p-1"),
+            ("-0x1.1a647a4057497p-1", "0x1.7b16b617a3ba4p-1", "0x1.8965896bd9841p-2"),
+            ("-0x1.ee3a4171cb939p-1", "0x1.0179b4b712985p-2", "0x1.21853fdb0f6bep-4"),
+            ("0x1.20eb4b29d3c44p-1", "0x1.241357d9fc468p-1", "0x1.318d23a4f7983p-1"),
+            ("-0x1.60e8f15fccbd4p-1", "-0x1.6be0db92076abp-1", "0x1.2032a6afbac13p-3"),
+            ("0x1.cbe9862090a2dp-1", "0x1.8c3f84653d7e2p-7", "0x1.c1d41c4348e4cp-2"),
+            ("0x1.92a94f9f2465fp-1", "-0x1.61a560bdbc61fp-2", "0x1.062f9710102c1p-1"),
+        ]),
+    },
+    "Haswell": {
+        2: ("0x1.90e3359148fa8p-3", "0x1.21539afb35181p-24", [
+            ("0x1.951b86a5742fcp-1", "0x1.2c6dfeda4b7dcp-4", "0x1.36d7159e3a026p-1"),
+            ("-0x1.bd1424b2bcbd4p-2", "0x1.0fe9f1a211339p-1", "0x1.7466dc8fc662cp-1"),
+        ]),
+        3: ("0x1.631a282810a0cp-2", "0x1.5eb1895745270p-25", [
+            ("-0x1.c285677e78397p-2", "0x1.202287110d808p-1", "0x1.664d3034f4b52p-1"),
+            ("0x1.3aa59795c733ap-2", "-0x1.d2dc812c71947p-1", "0x1.16cf7d422c2b6p-2"),
+            ("-0x1.632b573e15f77p-2", "0x1.e9ef697d4c475p-2", "0x1.9d0929b91542ep-1"),
+        ]),
+        8: ("0x1.6f03a02168280p-1", "0x1.93526cd64cc13p-13", [
+            ("-0x1.08712adeec000p-1", "0x1.e5d3fb3b9df01p-3", "0x1.a54359d72aeb3p-1"),
+            ("0x1.8866bc605535ap-1", "-0x1.69086a1bd7af2p-2", "0x1.12ea9939b411cp-1"),
+            ("-0x1.1a647a4057495p-1", "0x1.7b16b617a393fp-1", "0x1.8965896bda183p-2"),
+            ("-0x1.ee3a4171cb95ap-1", "0x1.0179b4b712951p-2", "0x1.21853fdb0ebf0p-4"),
+            ("0x1.20eb4b29d3daap-1", "0x1.241357d9fc18cp-1", "0x1.318d23a4f7aebp-1"),
+            ("-0x1.60e8f15fcc72cp-1", "-0x1.6be0db9207c5fp-1", "0x1.2032a6afb9434p-3"),
+            ("0x1.cbe9862090a4ep-1", "0x1.8c3f846535500p-7", "0x1.c1d41c4348de2p-2"),
+            ("0x1.92a94f9f24207p-1", "-0x1.61a560bdbd872p-2", "0x1.062f97101033cp-1"),
+        ]),
+    },
+    "Sandybridge": {
+        2: ("0x1.90e3359148f90p-3", "0x1.21539af188099p-24", [
+            ("0x1.951b86a5742fcp-1", "0x1.2c6dfeda4b7e3p-4", "0x1.36d7159e3a027p-1"),
+            ("-0x1.bd1424b2bcbd6p-2", "0x1.0fe9f1a211339p-1", "0x1.7466dc8fc662cp-1"),
+        ]),
+        3: ("0x1.631a2828109f4p-2", "0x1.5eb18945ea46fp-25", [
+            ("-0x1.c285677e7839fp-2", "0x1.202287110d805p-1", "0x1.664d3034f4b53p-1"),
+            ("0x1.3aa59795c7339p-2", "-0x1.d2dc812c71944p-1", "0x1.16cf7d422c2c0p-2"),
+            ("-0x1.632b573e15f78p-2", "0x1.e9ef697d4c477p-2", "0x1.9d0929b91542dp-1"),
+        ]),
+        8: ("0x1.6f03a02168274p-1", "0x1.93526cd64b82bp-13", [
+            ("-0x1.08712adeec0c9p-1", "0x1.e5d3fb3b9e034p-3", "0x1.a54359d72ae1fp-1"),
+            ("0x1.8866bc60551ccp-1", "-0x1.69086a1bd7a0dp-2", "0x1.12ea9939b439fp-1"),
+            ("-0x1.1a647a40574c5p-1", "0x1.7b16b617a3982p-1", "0x1.8965896bd9ff1p-2"),
+            ("-0x1.ee3a4171cb94bp-1", "0x1.0179b4b7128cfp-2", "0x1.21853fdb0f95fp-4"),
+            ("0x1.20eb4b29d3d84p-1", "0x1.241357d9fc2cap-1", "0x1.318d23a4f79e0p-1"),
+            ("-0x1.60e8f15fcc928p-1", "-0x1.6be0db9207a7ep-1", "0x1.2032a6afb932bp-3"),
+            ("0x1.cbe9862090aa3p-1", "0x1.8c3f84653b70cp-7", "0x1.c1d41c4348c71p-2"),
+            ("0x1.92a94f9f24223p-1", "-0x1.61a560bdbd5d0p-2", "0x1.062f9710103f4p-1"),
+        ]),
+    },
+    "Katmai": {
+        2: ("0x1.90e3359148f88p-3", "0x1.21539af188099p-24", [
+            ("0x1.951b86a5742fcp-1", "0x1.2c6dfeda4b7e3p-4", "0x1.36d7159e3a027p-1"),
+            ("-0x1.bd1424b2bcbd6p-2", "0x1.0fe9f1a211339p-1", "0x1.7466dc8fc662cp-1"),
+        ]),
+        3: ("0x1.631a2828109fcp-2", "0x1.5eb18945ea46fp-25", [
+            ("-0x1.c285677e7839fp-2", "0x1.202287110d805p-1", "0x1.664d3034f4b53p-1"),
+            ("0x1.3aa59795c7339p-2", "-0x1.d2dc812c71944p-1", "0x1.16cf7d422c2c0p-2"),
+            ("-0x1.632b573e15f78p-2", "0x1.e9ef697d4c477p-2", "0x1.9d0929b91542dp-1"),
+        ]),
+        8: ("0x1.6f03a0216825cp-1", "0x1.93526cd650f7ep-13", [
+            ("-0x1.08712adeeba11p-1", "0x1.e5d3fb3b9de9ap-3", "0x1.a54359d72b276p-1"),
+            ("0x1.8866bc6055529p-1", "-0x1.69086a1bd7c89p-2", "0x1.12ea9939b3e01p-1"),
+            ("-0x1.1a647a40574cdp-1", "0x1.7b16b617a37d3p-1", "0x1.8965896bda659p-2"),
+            ("-0x1.ee3a4171cb948p-1", "0x1.0179b4b712c13p-2", "0x1.21853fdb0cbe5p-4"),
+            ("0x1.20eb4b29d3fb8p-1", "0x1.241357d9fc028p-1", "0x1.318d23a4f7a50p-1"),
+            ("-0x1.60e8f15fcc258p-1", "-0x1.6be0db9208315p-1", "0x1.2032a6afb6b4ap-3"),
+            ("0x1.cbe9862090a56p-1", "0x1.8c3f846529031p-7", "0x1.c1d41c4348deap-2"),
+            ("0x1.92a94f9f23de4p-1", "-0x1.61a560bdbe6c9p-2", "0x1.062f9710104c1p-1"),
+        ]),
+    },
+}
+
+
+def solve_hex(result: GqdResult) -> tuple:
+    """A solve's raw_value, grad_norm and directions as hex floats."""
+    diag = result.diagnostics
+    return (diag.raw_value.hex(), diag.grad_norm.hex(),
+            [(d.x.hex(), d.y.hex(), d.z.hex()) for d in result.optimal_measurement.directions])
+
+
+def result_bits(result: GqdResult) -> tuple:
+    """Every field of a numeric result but ``method``, floats as hex."""
+    fields = dataclasses.asdict(result.diagnostics)
+    return (result.value.hex(), solve_hex(result),
+            {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()})
+
+
+def solve_counts(result: GqdResult) -> tuple:
+    diag = result.diagnostics
+    return (diag.evaluations, diag.iterations, diag.starts_finished,
+            diag.starts_agreeing, diag.converged)
 
 
 class TestPinnedSolves:
@@ -1014,28 +1122,27 @@ class TestPinnedSolves:
 
     @pytest.mark.parametrize("n", sorted(PINNED_GQD))
     def test_solve(self, n):
-        options, raw_value, grad_norm, counts, directions = PINNED_GQD[n]
-        rho = random_density_matrix(n, np.random.default_rng(21))
-        result = gqd_numeric(rho, OptimizerOptions(seed=5, **options))
-        diag = result.diagnostics
-        assert diag.raw_value.hex() == raw_value
-        assert diag.grad_norm.hex() == grad_norm
-        assert (diag.evaluations, diag.iterations, diag.starts_finished,
-                diag.starts_agreeing, diag.converged) == counts
-        assert [(d.x.hex(), d.y.hex(), d.z.hex())
-                for d in result.optimal_measurement.directions] == directions
+        options, counts = PINNED_GQD[n]
+        with one_blas_thread():
+            rho = random_density_matrix(n, np.random.default_rng(21))
+            result = gqd_numeric(rho, OptimizerOptions(seed=5, **options))
+        assert solve_counts(result) == counts
+        got = solve_hex(result)
+        assert got == recorded(PINNED_GQD_HEX, n, got)
 
 
 # The solves of PINNED_GQD at N = 2 and 3 with the line search cut to one
-# or two trials, pinned bit for bit as there. Searches then fail (14 and 37
-# with one trial, 1 and 9 with two): a row with pairs in memory forgets them
-# and restarts along -g, and one without stops unconverged. The same minima
-# are found, so the measurements are those of PINNED_GQD.
+# or two trials, pinned bit for bit as there: evaluations, iterations,
+# starts_finished, starts_agreeing and converged. Searches then fail (14 and
+# 37 with one trial, 1 and 9 with two): a row with pairs in memory forgets
+# them and restarts along -g, and one without stops unconverged. The same
+# minima are found, so on every kernel family the raw value, gradient norm
+# and measurement are those of PINNED_GQD_HEX.
 PINNED_SHORT_SEARCHES = {
-    (2, 1): ("0x1.90e3359148f90p-3", "0x1.21539afb9a737p-24", (120, 90, 16, 8, True)),
-    (2, 2): ("0x1.90e3359148f90p-3", "0x1.21539afb9a737p-24", (185, 154, 9, 8, True)),
-    (3, 1): ("0x1.631a282810a06p-2", "0x1.5eb18937383d4p-25", (234, 173, 24, 7, True)),
-    (3, 2): ("0x1.631a282810a06p-2", "0x1.5eb18937383d4p-25", (370, 308, 12, 8, True)),
+    (2, 1): (120, 90, 16, 8, True),
+    (2, 2): (185, 154, 9, 8, True),
+    (3, 1): (234, 173, 24, 7, True),
+    (3, 2): (370, 308, 12, 8, True),
 }
 
 
@@ -1043,16 +1150,12 @@ class TestPinnedShortSearches:
     @pytest.mark.parametrize("n, max_trials", sorted(PINNED_SHORT_SEARCHES))
     def test_solve(self, monkeypatch, n, max_trials):
         monkeypatch.setattr(lbfgs, "_MAX_TRIALS", max_trials)
-        raw_value, grad_norm, counts = PINNED_SHORT_SEARCHES[n, max_trials]
-        rho = random_density_matrix(n, np.random.default_rng(21))
-        result = gqd_numeric(rho, OptimizerOptions(seed=5))
-        diag = result.diagnostics
-        assert diag.raw_value.hex() == raw_value
-        assert diag.grad_norm.hex() == grad_norm
-        assert (diag.evaluations, diag.iterations, diag.starts_finished,
-                diag.starts_agreeing, diag.converged) == counts
-        assert [(d.x.hex(), d.y.hex(), d.z.hex())
-                for d in result.optimal_measurement.directions] == PINNED_GQD[n][4]
+        with one_blas_thread():
+            rho = random_density_matrix(n, np.random.default_rng(21))
+            result = gqd_numeric(rho, OptimizerOptions(seed=5))
+        assert solve_counts(result) == PINNED_SHORT_SEARCHES[n, max_trials]
+        got = solve_hex(result)
+        assert got == recorded(PINNED_GQD_HEX, n, got)
 
 
 class TestCorrelationStart:
@@ -1172,6 +1275,29 @@ class TestMixedMarginalShortcut:
         want = np.max(np.abs(partial_trace(biased, {qubit}).matrix - IDENTITY_2 / 2))
         reported = float(re.search(r"by (\S+),", str(exc.value)).group(1))
         assert abs(reported - want) <= 1e-15
+
+    def test_names_the_first_biased_qubit(self):
+        # Qubits 1 and 2 are biased, qubit 2 the more.
+        factors = [IDENTITY_2 / 2, (IDENTITY_2 + 0.5 * PAULI_Z) / 2, (IDENTITY_2 + 0.8 * PAULI_X) / 2]
+        biased = DensityMatrix(functools.reduce(np.kron, factors))
+        with pytest.raises(ValueError) as exc:
+            gqd_maximally_mixed(biased)
+        assert str(exc.value) == (
+            "qubit 1 marginal deviates from I/2 by 2.500e-01, "
+            "shortcut requires maximally mixed marginals"
+        )
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_is_gqd_numeric_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(RNG_SEED + n)
+        states = [werner_ghz_state(WernerGhzParams(n, mu)) for mu in (0.0, 0.37, 1.0)]
+        states += [pauli_diagonal_state(random_valid_pauli_params(n, rng)) for _ in range(2)]
+        opts = OptimizerOptions(seed=seed)
+        for rho in states:
+            mixed, numeric = gqd_maximally_mixed(rho, opts), gqd_numeric(rho, opts)
+            assert (mixed.method, numeric.method) == ("maximally_mixed", "numeric")
+            assert result_bits(mixed) == result_bits(numeric)
 
     def test_accepts_marginals_within_the_tolerance(self):
         # Qubit 1's marginal is off I/2 by 1e-9 in its off-diagonal entry.

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -93,6 +94,34 @@ class TestDensityMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(StateValidationError):
             DensityMatrix(np.ones((2, 4)) / 4)
+
+    def test_hermiticity_deviation_is_the_largest_over_the_row_blocks(self):
+        # At N = 9 the check runs over four blocks of 128 rows. The largest
+        # deviation sits in rows 300 and 400 (the third and fourth blocks), a
+        # smaller one in rows 5 and 40 (the first).
+        m = np.eye(2**9, dtype=complex) / 2**9
+        m[300, 400] = 3e-10
+        m[5, 40] = 2e-10
+        want = np.max(np.abs(m - m.conj().T))
+        with pytest.raises(StateValidationError) as exc:
+            DensityMatrix(m)
+        assert str(exc.value) == (
+            f"not Hermitian: max |rho - rho^dagger| = {want:.3e} exceeds 1.0e-10"
+        )
+        assert "3.000e-10" in str(exc.value)
+
+    def test_validation_holds_no_whole_matrix_temporary(self):
+        # The N = 10 state is 16 MiB. Validation holds its own copy and, for
+        # the Hermiticity check, blocks of about 1 MiB; over the whole matrix
+        # at once that check peaked at 3.0 times the input.
+        mat = np.eye(2**10, dtype=complex) / 2**10
+        tracemalloc.start()
+        try:
+            DensityMatrix(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * mat.nbytes
 
     def test_matrix_is_read_only(self):
         rho = DensityMatrix(np.eye(2) / 2)
